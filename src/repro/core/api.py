@@ -59,12 +59,14 @@ def apsp(graph: WeightedDigraph, *, method: str = "auto",
     :class:`repro.obs.MetricsRegistry`) attach the observability
     subsystem to whichever algorithm runs.
 
-    ``backend`` selects the simulator backend (``"reference"`` /
-    ``"fast"``, see :mod:`repro.perf.backends`).  For the single-network
-    methods it is passed explicitly (so ``"fast"`` + an unsupported hook
-    raises); the multi-phase blocker method runs under it as the ambient
-    default (phases carrying unsupported hooks use the reference
-    backend -- results are pinned identical either way).
+    ``backend`` selects the simulator backend (``"reference"``,
+    ``"fast"`` or ``"columnar"``, see :mod:`repro.perf.backends`).  For
+    the single-network methods it is passed explicitly; the multi-phase
+    blocker method runs under it as the ambient default.  Every backend
+    honors every hook, and results are pinned identical either way.  On
+    ``"columnar"``, pipelined runs stay on the bulk kernel with a
+    tracer or registry attached; a fault plan, monitor or ring recorder
+    (and a tracer on Bellman-Ford) runs on the worklist loop instead.
     """
     if method == "auto":
         est = _estimate_bounds(graph, graph.n)

@@ -14,19 +14,53 @@ what the round bound of Lemma II.14 needs.
 
 Numerical representation
 ------------------------
-Keys are IEEE doubles.  ``kappa`` is always recomputed as ``d * gamma + l``
-from the integer pair ``(d, l)`` -- never accumulated hop by hop -- so two
-nodes deriving an entry for the same path compute bit-identical keys and
-the list order ``(kappa, d, x)`` is globally consistent.  ``ceil_key``
-guards the one FP hazard: when ``gamma`` is rational and ``kappa + pos``
-is mathematically an integer, the double is exact and ``math.ceil`` is
-too; for irrational ``gamma`` the result is bounded away from integers by
-far more than the 1-ulp rounding of a single multiply-add.
+Keys are IEEE doubles.  ``kappa`` is always recomputed from the integer
+pair ``(d, l)`` -- never accumulated hop by hop -- so two nodes deriving
+an entry for the same path compute bit-identical keys and the list order
+``(kappa, d, x)`` is globally consistent.
+
+The send schedule ``ceil(kappa + pos)`` is the one FP hazard: a key
+that is mathematically an integer must not round above it.  A rational
+``gamma`` does not make the double ``gamma`` exact, so the plain
+multiply-add can miss: for ``(h, k, Delta) = (57, 247, 351)``,
+``gamma = 19/3`` and ``57 * gamma`` is ``361.00000000000006``, which
+schedules the entry a round late.  :func:`gamma_for` therefore returns a
+:class:`RationalGamma` whenever ``h k / Delta`` is the square of a
+rational ``num/den``, and :func:`key_of` then computes the key as the
+correctly rounded quotient ``(d num + l den) / den`` of exact integers:
+an integral key is exact, equal keys are bit-identical, and distinct
+keys differ by at least ``1/den``.  For irrational ``gamma`` the key
+``d gamma + l`` is bounded away from integers by far more than the
+rounding of a single multiply-add, so ``d * gamma + l`` stays; an
+explicit plain-float ``gamma`` (the E14 ablations) also takes that path.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+
+
+class RationalGamma(float):
+    """A ``gamma = sqrt(h k / Delta)`` that is the rational ``num/den``
+    (in lowest terms).
+
+    The float value is ``math.sqrt(h k / Delta)`` as for any other
+    ``gamma`` -- budgets, bounds and reprs see a plain float -- while
+    :func:`key_of` reads ``num``/``den`` to compute keys exactly (see
+    the module docstring).
+    """
+
+    __slots__ = ("num", "den")
+
+    def __new__(cls, value: float, num: int, den: int) -> "RationalGamma":
+        self = super().__new__(cls, value)
+        self.num = num
+        self.den = den
+        return self
+
+    def __reduce__(self):
+        return (RationalGamma, (float(self), self.num, self.den))
 
 
 def gamma_for(h: int, k: int, delta: int) -> float:
@@ -50,11 +84,20 @@ def gamma_for(h: int, k: int, delta: int) -> float:
         raise ValueError(f"distance bound Delta must be >= 0, got {delta}")
     if delta == 0:
         return float(h * k + h + 1)
-    return math.sqrt(h * k / delta)
+    gamma = math.sqrt(h * k / delta)
+    q = Fraction(h * k, delta)
+    num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if num * num == q.numerator and den * den == q.denominator:
+        return RationalGamma(gamma, num, den)
+    return gamma
 
 
 def key_of(d: int, l: int, gamma: float) -> float:
-    """``kappa = d * gamma + l`` (recomputed fresh, see module docstring)."""
+    """``kappa = d * gamma + l`` (recomputed fresh; exact for a
+    :class:`RationalGamma`, see the module docstring)."""
+    if type(gamma) is RationalGamma:
+        den = gamma.den
+        return (d * gamma.num + l * den) / den
     return d * gamma + l
 
 
@@ -72,12 +115,14 @@ def send_round(kappa: float, pos: int) -> int:
 def key_of_batch(ds, ls, gamma: float):
     """Batched :func:`key_of` over parallel distance/hop columns.
 
-    Each key is the same single multiply-add as the scalar path
-    (``d * gamma + l`` on the integer pair), so a column computed here is
-    bit-identical to keys derived entry by entry -- the property the
-    columnar bulk kernel relies on to keep list orders consistent with
-    the per-message backends.
+    Each key is the same arithmetic as the scalar path on the integer
+    pair, so a column computed here is bit-identical to keys derived
+    entry by entry -- the property the columnar bulk kernel relies on to
+    keep list orders consistent with the per-message backends.
     """
+    if type(gamma) is RationalGamma:
+        num, den = gamma.num, gamma.den
+        return [(d * num + l * den) / den for d, l in zip(ds, ls)]
     return [d * gamma + l for d, l in zip(ds, ls)]
 
 

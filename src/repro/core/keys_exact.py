@@ -10,10 +10,11 @@ decision the algorithm takes, however, is one of exactly two questions:
 
 Both are decidable in exact integer arithmetic (compare/extract square
 roots of integers), which this module implements.  The property tests
-drive millions of random instances through both implementations and
-require bit-identical answers -- turning the docstring claim "the
-double rounding of a single multiply-add never lands on the wrong side
-of an integer for the paper's parameter ranges" into a tested fact.
+drive random instances through both implementations and require
+identical answers -- turning the claim of :mod:`repro.core.keys` (a
+rational gamma is keyed exactly, an irrational one never rounds to the
+wrong side of an integer in the paper's parameter ranges) into a
+tested fact.
 """
 
 from __future__ import annotations

@@ -569,29 +569,35 @@ class ReferenceNodeList:
 # the per-message backends would have left behind.
 
 def export_entry_columns(nl) -> Tuple[List[_Key], List[int],
-                                      List[Optional[int]], List[bool]]:
+                                      List[Optional[int]], List[bool],
+                                      List[Optional[List[int]]]]:
     """Flatten *nl* (either list kernel) into parallel columns, in list
-    order: ``(sort_keys, l, parent, flag_sp)``.  The sort key carries
-    ``kappa``, ``d`` and ``x``; ``l``/``parent``/``flag_sp`` are the
-    remaining per-entry fields."""
+    order: ``(sort_keys, l, parent, flag_sp, sent_at)``.  The sort key
+    carries ``kappa``, ``d`` and ``x``; the other columns are the
+    remaining per-entry fields (``sent_at`` lists are handed over, not
+    copied)."""
     entries = nl._entries
     return (list(nl._keys),
             [e.l for e in entries],
             [e.parent for e in entries],
-            [e.flag_sp for e in entries])
+            [e.flag_sp for e in entries],
+            [e.sent_at for e in entries])
 
 
 def load_entry_columns(nl, keys: List[_Key], lcol: List[int],
                        pcol: List[Optional[int]],
-                       fcol: List[bool]) -> List[Entry]:
+                       fcol: List[bool],
+                       scol: List[Optional[List[int]]]) -> List[Entry]:
     """Rebuild *nl* in place from parallel columns (inverse of
-    :func:`export_entry_columns`); returns the fresh ``Entry`` objects in
-    list order.  For :class:`NodeList` every secondary index (per-source
+    :func:`export_entry_columns`); returns the fresh ``Entry`` objects
+    in list order.  For :class:`NodeList` every secondary index (per-source
     lists, identity indexes, count histogram) is reconstructed to the
     same observable state incremental maintenance would have produced."""
     entries = [Entry(key[0], key[1], lcol[i], key[2],
                      flag_sp=fcol[i], parent=pcol[i])
                for i, key in enumerate(keys)]
+    for e, sent in zip(entries, scol):
+        e.sent_at = sent
     nl._entries = entries
     nl._keys = list(keys)
     if isinstance(nl, NodeList):

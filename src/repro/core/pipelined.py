@@ -271,9 +271,11 @@ class PipelinedSSPProgram(Program):
         """Flatten the program state into the column dict the bulk
         kernel consumes (see :func:`repro.core.node_list.export_entry_columns`
         for the list layout)."""
-        keys, lcol, pcol, fcol = _node_list.export_entry_columns(self.list_v)
+        keys, lcol, pcol, fcol, scol = \
+            _node_list.export_entry_columns(self.list_v)
         return {
             "keys": keys, "l": lcol, "parent": pcol, "flag": fcol,
+            "sent_at": scol,
             "best": {x: (b.d, b.l, b.parent) for x, b in self.best.items()},
             "max_list_len": self.max_list_len_seen,
             "max_per_source": self.max_per_source_seen,
@@ -288,7 +290,7 @@ class PipelinedSSPProgram(Program):
         identities checkpointing relies on."""
         entries = _node_list.load_entry_columns(
             self.list_v, state["keys"], state["l"],
-            state["parent"], state["flag"])
+            state["parent"], state["flag"], state["sent_at"])
         flagged: Dict[int, Entry] = {}
         for e in entries:
             if e.flag_sp:
@@ -403,10 +405,13 @@ def run_hk_ssp(graph: WeightedDigraph, sources: Sequence[int], h: int,
         given, and both hooks are forwarded to the
         :class:`~repro.congest.network.Network`.
     backend:
-        Simulator backend: ``"reference"``, ``"fast"``, or ``None`` for
-        the ambient default (see :mod:`repro.perf.backends`).  The fast
-        backend is differentially pinned to identical results but
-        rejects fault/monitor/tracer hooks.
+        Simulator backend: ``"reference"``, ``"fast"``, ``"columnar"``,
+        or ``None`` for the ambient default (see
+        :mod:`repro.perf.backends`).  Every backend honors every hook
+        and is differentially pinned to identical results, trace events
+        included.  The columnar bulk kernel runs traced and
+        send-recording runs itself; a ``fault_plan``, ``monitor`` or
+        ``record_window`` sends the run to the worklist loop.
 
     Returns an :class:`HKSSPResult` (see its docstring for the exact
     output contract); validation against the sequential oracles is the

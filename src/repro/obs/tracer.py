@@ -168,6 +168,19 @@ class Tracer(TraceRecorder):
         self._event_spans.append(
             self._stack[-1].span_id if self._stack else None)
 
+    def emit_events(self, events: List[TraceEvent]) -> None:
+        """Bulk :meth:`emit` of prebuilt events: one append while they
+        fit the ring, otherwise one :meth:`emit` per event -- so the
+        retained events, their span ids and :attr:`dropped` are exactly
+        those of emitting each event on its own."""
+        if (type(self).emit is Tracer.emit
+                and len(self.events) + len(events) <= self.max_events):
+            self.events.extend(events)
+            sid = self._stack[-1].span_id if self._stack else None
+            self._event_spans.extend([sid] * len(events))
+        else:
+            super().emit_events(events)
+
     def event(self, kind: str, *, round: int = 0, node: int = -1,
               **fields: Any) -> None:
         """Structured emit: named fields instead of a positional tuple.

@@ -11,8 +11,9 @@ Three interchangeable CONGEST simulator backends exist:
 * ``"columnar"`` -- :class:`repro.perf.columnar.ColumnarNetwork`, the
   bulk-synchronous engine: flat numpy (or pure-Python, see
   ``REPRO_COLUMNAR_NUMPY``) columns and per-round array operations for
-  the relaxation program family, the inherited event-driven loop for
-  everything else, pinned by the same differential machinery
+  the relaxation and pipelined (h, k)-SSP program families, the
+  inherited event-driven loop for everything else, pinned by the same
+  differential machinery
   (``tests/backend_conformance.py`` parametrizes the whole suite over
   this registry).
 

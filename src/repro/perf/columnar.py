@@ -48,12 +48,15 @@ instrumented digests, resumption, hook parity), and the engine
 post-mortems read the exact state the reference execution would have
 left behind.
 
-Programs outside the vectorizable family -- and any run with a fault
-plan, monitor, tracer, or record window attached -- execute on the
-inherited event-driven loop
+Programs outside the vectorizable families -- and any run with a fault
+plan, monitor, or record window attached, or a traced relaxation run --
+execute on the inherited event-driven loop
 (:class:`~repro.perf.fast_network.FastNetwork`), which honors the full
-hook surface with reference semantics.  That is the explicit-vs-ambient
-rule of :mod:`repro.perf.backends` taken seriously: an explicit
+hook surface with reference semantics.  The pipelined kernel honors a
+``tracer`` (and the programs' own trace recorder and ``sent_at``
+recording) itself, emitting the event stream the worklist loop would.
+That is the explicit-vs-ambient rule of :mod:`repro.perf.backends`
+taken seriously: an explicit
 ``backend="columnar"`` must never silently diverge, so the bulk path is
 taken exactly when it is provably equivalent.  Eligibility has two
 tiers: the *static* facts (program family, uniform parameters, graph
@@ -242,14 +245,17 @@ class _RelaxationKernel:
 
     def revalidate(self) -> bool:
         """Per-run dynamic eligibility, re-checked at every ``run()``
-        entry on the memoized kernel: a *single* wavefront -- every
-        scheduled node announces in the same round.  True throughout
+        entry on the memoized kernel: no ``tracer`` (this kernel emits
+        no trace events), and a *single* wavefront -- every scheduled
+        node announces in the same round.  The latter holds throughout
         any fault-free relaxation run, but a checkpoint captured
         mid-flight under faults can restore staggered announce rounds
         onto a fault-free network; such a run takes the generic loop
         (that run only -- the bulk path returns once the stagger
         drains).  Also re-syncs the numpy feature gate so flag flips
         between runs are honored on a cached kernel."""
+        if self.net.tracer is not None:
+            return False
         wave_round = None
         for p in self.net.programs:
             a = p._announce
@@ -549,10 +555,11 @@ class ColumnarNetwork(FastNetwork):
 
     Same constructor, validation errors, hooks, resumption, and
     ``run(max_rounds) -> RunMetrics`` contract as the reference
-    :class:`~repro.congest.network.Network`; programs the bulk engine
-    cannot vectorize -- and any hooked run -- execute on the inherited
-    event-driven loop, so ``backend="columnar"`` is always honored and
-    never silently diverges.
+    :class:`~repro.congest.network.Network`; programs the bulk kernels
+    cannot vectorize -- and runs with a fault plan, monitor, ring
+    recorder, or (relaxation family only) a tracer -- execute on the
+    inherited event-driven loop, so ``backend="columnar"`` is always
+    honored and never silently diverges.
     """
 
     #: Memoized static-eligibility verdict (a kernel instance or None);
@@ -568,12 +575,15 @@ class ColumnarNetwork(FastNetwork):
     def _columnar_kernel(self):
         """The bulk kernel for this network, or ``None`` (generic loop).
 
-        The bulk path requires the zero-hook configuration: a fault
-        plan, tracer, ring recorder, or monitor observes (or perturbs)
-        per-envelope events that the bulk engine deliberately never
-        materializes, so those runs take the instrumented loop with
-        reference semantics.  ``registry`` and HOT profiling only need
-        per-round timing and are honored on both paths.
+        A fault plan, ring recorder (``record_window``) or monitor
+        observes (or perturbs) per-envelope state that the bulk engines
+        deliberately never materialize, so those runs take the
+        instrumented loop with reference semantics.  A ``tracer`` is
+        honored by the pipelined kernel, which emits the worklist
+        loop's event stream itself; the relaxation kernel declines it
+        in its :meth:`~_RelaxationKernel.revalidate`.  ``registry`` and
+        HOT profiling only need per-round timing and are honored on
+        every path.
 
         Hooks are re-checked at every entry (they can be attached to an
         existing network between runs); the O(n + m) static scan over
@@ -581,8 +591,8 @@ class ColumnarNetwork(FastNetwork):
         kernel's cheap :meth:`~_RelaxationKernel.revalidate` carries
         the remaining per-run conditions.
         """
-        if (self.fault_injector is not None or self.tracer is not None
-                or self.trace is not None or self.monitor is not None):
+        if (self.fault_injector is not None or self.trace is not None
+                or self.monitor is not None):
             return None
         kernel = self._kernel_cache
         if kernel is _UNSET:

@@ -43,6 +43,17 @@ sequentially in ascending-source order -- bit-identically to the
 reference's sorted inbox -- while everything around that fold
 (scheduling, expansion, key computation, accounting) is batched.
 
+Observation
+-----------
+Traced and ``record_sends`` runs stay on the kernel.  Each round's
+events -- ``send``, ``net.send``, ``promote`` / ``insert``,
+``net.round`` -- are built in the worklist loop's order and handed to
+the recorder in one bulk append (:meth:`_PipelinedKernel.run`), and
+``Entry.sent_at`` lives in a column next to the others.  The untraced
+fold pays one ``is None`` test per inserted arrival for this.  A fault
+plan, monitor or ring recorder (``record_window``) still sends the run
+to the worklist loop (:meth:`~repro.perf.columnar.ColumnarNetwork._columnar_kernel`).
+
 Exactness contract
 ------------------
 Same as the relaxation kernel: load / compute / store.  ``run()``
@@ -56,10 +67,11 @@ would have produced, and ``tests/backend_conformance.py`` pins the
 equality differentially (including deliberate-corruption runs via the
 ``send-rank-off-by-one`` / ``nu-off-by-one`` modes this module honors).
 
-Keys are recomputed as the same single multiply-add on ``(d, l)`` as
-the scalar path -- under numpy via a float64 vector op, which is
-bit-identical for the integer ranges the CONGEST word model admits --
-so list orders agree across backends to the last ulp.
+Keys are recomputed from ``(d, l)`` with the same arithmetic as
+:func:`repro.core.keys.key_of` -- a multiply-add, or the exact
+quotient for a rational gamma -- under numpy via float64 vector ops,
+which are bit-identical for the integer ranges the CONGEST word model
+admits, so list orders agree across backends to the last ulp.
 """
 
 from __future__ import annotations
@@ -70,7 +82,8 @@ from math import ceil as _ceil, inf as _INF
 from time import perf_counter as _perf
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.keys import next_send_after
+from ..congest.events import TraceEvent as _TE
+from ..core.keys import RationalGamma, key_of, next_send_after
 from ..obs.profiling import HOT as _HOT
 from .fast_network import RoundLimitExceeded
 from . import columnar as _cmod
@@ -81,6 +94,10 @@ _Key = Tuple[float, int, int]
 #: scalars (repro.congest.message.payload_words).
 _PAYLOAD_WORDS = 5
 
+#: ``TraceEvent`` construction without the keyword-handling ``__new__``
+#: (traced rounds build one per send, message and insert).
+_new = tuple.__new__
+
 
 class _PipelinedKernel:
     """Columnar executor for networks whose every program is a
@@ -90,17 +107,15 @@ class _PipelinedKernel:
     @staticmethod
     def matches(net) -> bool:
         """Static eligibility (memoized by the network): every program
-        is a plain ``PipelinedSSPProgram`` with uniform parameters and
-        no per-program instrumentation, and the graph is bulk-safe.
+        is a plain ``PipelinedSSPProgram`` with uniform parameters, and
+        the graph is bulk-safe.
 
         * uniform ``sources`` / ``h`` / ``gamma`` / ``cutoff_round`` /
-          ``directed_broadcast`` / ``budget`` -- the kernel hoists them
-          once; mixed-parameter networks (never produced by the entry
-          points) take the generic loop;
-        * ``trace is None`` and ``record_sends`` off: both observe
-          per-send events the bulk path never materializes (paranoid
-          mode forces ``record_sends`` on, so a paranoid process also
-          stays on the instrumented loop);
+          ``directed_broadcast`` / ``budget`` / ``trace`` /
+          ``record_sends`` -- the kernel hoists them once;
+          mixed-parameter networks (never produced by the entry points)
+          take the generic loop.  A ``trace`` recorder and
+          ``record_sends`` are honored (see :meth:`run`);
         * a known ``list_v`` kernel, so the column export/import is
           exact for its index structure;
         * ``max_message_words >= 5``: a smaller budget must raise the
@@ -120,14 +135,15 @@ class _PipelinedKernel:
         p0 = programs[0]
         sources0 = tuple(p0.sources)
         params0 = (p0.h, p0.gamma, p0.cutoff_round, p0.directed_broadcast,
-                   p0.budget)
+                   p0.budget, p0.record_sends)
+        trace0 = p0.trace
         list_types = tuple(LIST_KERNELS.values())
         for v, p in enumerate(programs):
             if (type(p) is not PipelinedSSPProgram or p.v != v
                     or tuple(p.sources) != sources0
                     or (p.h, p.gamma, p.cutoff_round, p.directed_broadcast,
-                        p.budget) != params0
-                    or p.trace is not None or p.record_sends
+                        p.budget, p.record_sends) != params0
+                    or p.trace is not trace0
                     or type(p.list_v) not in list_types):
                 return False
         directed = p0.directed_broadcast
@@ -164,6 +180,18 @@ class _PipelinedKernel:
         self.cutoff: Optional[int] = p0.cutoff_round
         self.budget: Optional[int] = p0.budget
         self.directed: bool = p0.directed_broadcast
+        #: ``(num, den)`` of a rational gamma: keys are then computed as
+        #: ``(d num + l den) / den``, exactly like ``keys.key_of``.
+        self.ratio: Optional[Tuple[int, int]] = (
+            (p0.gamma.num, p0.gamma.den)
+            if type(p0.gamma) is RationalGamma else None)
+        #: Program-level trace recorder (send / promote / insert events)
+        #: and per-entry ``sent_at`` recording, shared by every program.
+        self.trace = p0.trace
+        self.record_sends: bool = p0.record_sends
+        #: The arrival fold's event buffer for the current round; None
+        #: when no program-level recorder is attached.
+        self._pev: Optional[list] = None
         # CSR of the broadcast targets, node ranges in increasing node
         # order.  Directed mode broadcasts over out-edges; undirected
         # mode over comm_neighbors, where the *relaxation* weight is the
@@ -226,6 +254,7 @@ class _PipelinedKernel:
         self.LCOL: List[List[int]] = [None] * n
         self.PCOL: List[List[Optional[int]]] = [None] * n
         self.FCOL: List[List[bool]] = [None] * n
+        self.SCOL: List[List[Optional[List[int]]]] = [None] * n
         self.SKEYS: List[Dict[int, List[_Key]]] = [None] * n
         self.SFLAGS: List[Dict[int, List[bool]]] = [None] * n
         self.CFREQ: List[Dict[int, int]] = [None] * n
@@ -243,6 +272,7 @@ class _PipelinedKernel:
             self.LCOL[v] = st["l"]
             self.PCOL[v] = st["parent"]
             self.FCOL[v] = flags
+            self.SCOL[v] = st["sent_at"]
             skeys: Dict[int, List[_Key]] = {}
             sflags: Dict[int, List[bool]] = {}
             for i, key in enumerate(keys):
@@ -278,6 +308,7 @@ class _PipelinedKernel:
             p.adopt_kernel_state({
                 "keys": self.KEYS[v], "l": self.LCOL[v],
                 "parent": self.PCOL[v], "flag": self.FCOL[v],
+                "sent_at": self.SCOL[v],
                 "best": {x: (b[0], b[1], b[2])
                          for x, b in self.BEST[v].items()},
                 "max_list_len": self.MAXLEN[v],
@@ -358,6 +389,20 @@ class _PipelinedKernel:
     # -- the round loop ----------------------------------------------------
 
     def run(self, max_rounds: int) -> Any:
+        """Execute rounds until quiescence (the network ``run`` contract).
+
+        Observation is bulk too.  With a program-level ``trace``
+        recorder, a network ``tracer``, or both, each round's events are
+        built in the worklist loop's order and handed over in one
+        :meth:`~repro.congest.events.TraceRecorder.emit_events` call:
+        the ``send`` of each sender (ascending), one ``net.send`` per
+        message (by sender, then CSR edge), the arrival fold's
+        ``promote`` / ``insert`` events (receivers ascending, arrivals
+        in source order), and ``net.round`` last.  Events of a round
+        that raises (Invariant 1) are handed over before the error
+        propagates.  ``record_sends`` appends the round to the firing
+        entry's ``sent_at`` column.
+        """
         net = self.net
         metrics = net.metrics
         registry = net.registry
@@ -378,8 +423,15 @@ class _PipelinedKernel:
         SKEYS = self.SKEYS
         LCOL = self.LCOL
         FCOL = self.FCOL
+        SCOL = self.SCOL
         node_sends = metrics.node_sends
         indptr = self._indptr
+        ptrace = self.trace
+        ntrace = net.tracer
+        traced = ptrace is not None or ntrace is not None
+        record = self.record_sends
+        heads = self._heads
+        pev = nev = None
         nu_pad = 2 if _cmod._CORRUPTION == "nu-off-by-one" else 1
         pos_off = 0 if _cmod._CORRUPTION == "send-rank-off-by-one" else 1
         cutoff = self.cutoff
@@ -421,6 +473,14 @@ class _PipelinedKernel:
                 net._round = r
                 if timed:
                     t_round = _perf()
+                if traced:
+                    # Program events (send / promote / insert) go to
+                    # the programs' recorder, network events to the
+                    # tracer; one buffer when they are the same object.
+                    pev = [] if ptrace is not None else None
+                    nev = None if ntrace is None else (
+                        pev if ntrace is ptrace else [])
+                    self._pev = pev
 
                 # Step 1: collect the round's senders (ascending node id,
                 # matching the fast backend's pop order) and their
@@ -446,11 +506,26 @@ class _PipelinedKernel:
                           + (i - bisect_left(keys_v, key)) + nu_pad)
                     senders.append(v)
                     send_d.append(key[1])
-                    send_l.append(LCOL[v][i])
+                    l_v = LCOL[v][i]
+                    send_l.append(l_v)
                     send_x.append(x)
                     send_f.append(FCOL[v][i])
                     send_nu.append(nu)
                     SENDS[v] += 1
+                    if record:
+                        sent = SCOL[v][i]
+                        if sent is None:
+                            SCOL[v][i] = [r]
+                        else:
+                            sent.append(r)
+                    if pev is not None:
+                        pev.append(_new(_TE, (r, v, "send",
+                                              (key[1], l_v, x, nu))))
+                if nev is not None:
+                    for v in senders:
+                        nev.extend([
+                            _new(_TE, (r, v, "net.send", (u, _PAYLOAD_WORDS)))
+                            for u in heads[indptr[v]:indptr[v + 1]]])
 
                 # Steps 2-13: expand deliveries through the CSR, fold
                 # per-destination candidates in ascending-source order.
@@ -495,6 +570,12 @@ class _PipelinedKernel:
                         if nr is not None:
                             heappush(heap, (nr, v))
 
+                if traced:
+                    if nev is not None:
+                        nev.append(_new(_TE, (r, -1, "net.round",
+                                              (len(senders), len(receivers)))))
+                    self._hand_over(pev, nev)
+                    pev = nev = None
                 if timed:
                     dt = _perf() - t_round
                     if round_hist is not None:
@@ -502,6 +583,9 @@ class _PipelinedKernel:
                     if profile is not None:
                         profile.record("columnar.pipelined.round", dt)
         finally:
+            self._pev = None
+            if traced:
+                self._hand_over(pev, nev)
             self._store()
             self._flush(msg_count, words_total)
             if registry is not None:
@@ -509,6 +593,13 @@ class _PipelinedKernel:
                 net._published = publish_run_metrics(
                     registry, metrics, state=net._published)
         return metrics
+
+    def _hand_over(self, pev: Optional[list], nev: Optional[list]) -> None:
+        """Give a round's buffered events to their recorders."""
+        if pev:
+            self.trace.emit_events(pev)
+        if nev and nev is not pev:
+            self.net.tracer.emit_events(nev)
 
     # -- one round: delivery expansion -------------------------------------
 
@@ -522,6 +613,9 @@ class _PipelinedKernel:
         wok = self._wok
         edge_msgs = self._edge_msgs
         gamma = self.gamma
+        ratio = self.ratio
+        if ratio is not None:
+            num, den = ratio
         total = 0
         inboxes: Dict[int, list] = {}
         for si, v in enumerate(senders):
@@ -547,7 +641,10 @@ class _PipelinedKernel:
                     continue
                 d_cand = d_in + weights[e]
                 u = heads[e]
-                rec = (v, d_cand, l_cand, d_cand * gamma + l_cand, x, nu_in)
+                # keys.key_of, inlined
+                kappa = (d_cand * gamma + l_cand if ratio is None
+                         else (d_cand * num + l_cand * den) / den)
+                rec = (v, d_cand, l_cand, kappa, x, nu_in)
                 box = inboxes.get(u)
                 if box is None:
                     inboxes[u] = [rec]
@@ -584,9 +681,14 @@ class _PipelinedKernel:
         cand_d = np.asarray(send_d, dtype=np.int64)[slots] \
             + self._np_weights[edges]
         cand_l = np.asarray(send_l, dtype=np.int64)[slots] + 1
-        # The same multiply-add as the scalar key_of, vectorized --
-        # bit-identical for word-sized integers.
-        kappa = cand_d.astype(np.float64) * self.gamma + cand_l
+        # The scalar keys.key_of, vectorized -- bit-identical for
+        # word-sized integers (a rational key's numerator stays below
+        # 2**53, so its float64 division is correctly rounded).
+        if self.ratio is None:
+            kappa = cand_d.astype(np.float64) * self.gamma + cand_l
+        else:
+            num, den = self.ratio
+            kappa = (cand_d * num + cand_l * den) / den
         order = np.argsort(dsts, kind="stable")
         o_dst = dsts[order].tolist()
         o_edge = edges[order].tolist()
@@ -641,6 +743,7 @@ class _PipelinedKernel:
         lcol = self.LCOL[v]
         pcol = self.PCOL[v]
         fcol = self.FCOL[v]
+        scol = self.SCOL[v]
         if promote:
             # Steps 9-11: new flag-d* holder; inserting the SP entry
             # does not evict by itself.
@@ -649,6 +752,7 @@ class _PipelinedKernel:
             lcol.insert(gi, l)
             pcol.insert(gi, y)
             fcol.insert(gi, True)
+            scol.insert(gi, None)
             sk = skeys.get(x)
             if sk is None:
                 sk = skeys[x] = []
@@ -666,7 +770,7 @@ class _PipelinedKernel:
                 # twin sits *below* the newcomer and is dropped
                 # outright.  Otherwise: evict over the Invariant 2
                 # budget (0 under the "always" ablation).
-                old_key = (bd * self.gamma + bl, bd, x)
+                old_key = (key_of(bd, bl, self.gamma), bd, x)
                 j0 = bisect_left(sk, old_key)
                 j1 = bisect_right(sk, old_key)
                 t_old = -1
@@ -686,6 +790,7 @@ class _PipelinedKernel:
                     del lcol[g_old]
                     del pcol[g_old]
                     del fcol[g_old]
+                    del scol[g_old]
                     del sk[t_old]
                     del sf[t_old]
                     self._hist_unlink(v, len(sk) + 1)
@@ -698,6 +803,12 @@ class _PipelinedKernel:
             b[2] = y
             if l <= self.h:
                 self.LASTSP[v] = r
+            ev = self._pev
+            if ev is not None:
+                # the worklist loop emits promote before the mutation
+                # and insert after it; nothing comes between them
+                ev.append(_new(_TE, (r, v, "promote", (x, d, l))))
+                ev.append(_new(_TE, (r, v, "insert", (d, l, x, kappa, pos))))
             if r >= _ceil(kappa + pos):  # Invariant 1 (Lemma II.12)
                 self._inv1_fail(v, r, d, l, kappa, x, y, True, pos)
         else:
@@ -711,6 +822,7 @@ class _PipelinedKernel:
                 lcol.insert(gi, l)
                 pcol.insert(gi, y)
                 fcol.insert(gi, False)
+                scol.insert(gi, None)
                 if sk is None:
                     sk = skeys[x] = []
                     sflags[x] = []
@@ -723,6 +835,10 @@ class _PipelinedKernel:
                 if bud is None or len(sk) > bud:
                     self._evict_above(v, x, j)
                 pos = gi + 1
+                ev = self._pev
+                if ev is not None:
+                    ev.append(_new(_TE, (r, v, "insert",
+                                         (d, l, x, kappa, pos))))
                 if r >= _ceil(kappa + pos):  # Invariant 1 (Lemma II.12)
                     self._inv1_fail(v, r, d, l, kappa, x, y, False, pos)
 
@@ -741,6 +857,7 @@ class _PipelinedKernel:
                 del self.LCOL[v][g]
                 del self.PCOL[v][g]
                 del self.FCOL[v][g]
+                del self.SCOL[v][g]
                 del sk[t]
                 del sf[t]
                 self._hist_unlink(v, len(sk) + 1)

@@ -21,7 +21,10 @@ registry:
 * resumption: a ``RoundLimitExceeded`` mid-run, then a resumed ``run``
   with a larger budget, must replay to the uninterrupted execution;
 * constructor-validation parity: the exact reference error texts;
-* registry selection: explicit ``backend=`` and the ambient default.
+* registry selection: explicit ``backend=`` and the ambient default;
+* traced pipelined runs: the same ``Tracer`` event stream, span ids,
+  drop count, ``sent_at`` histories and registry contents on every
+  backend, including a round-limited and resumed run.
 
 The columnar backend gets two extra treatments: the whole battery runs
 once per bulk implementation (numpy and the pure-Python fallback, via
@@ -49,6 +52,7 @@ from differential import (
     metrics_summary,
     post_mortem_summary,
 )
+from repro.analysis.inspect import send_history
 from repro.congest import (
     Envelope,
     Network,
@@ -56,15 +60,18 @@ from repro.congest import (
     Program,
     RoundLimitExceeded,
 )
+from repro.congest.events import TraceRecorder
 from repro.core import run_apsp, run_apsp_blocker, run_hk_ssp, run_short_range
 from repro.core.bellman_ford import BellmanFordProgram, run_bellman_ford
-from repro.core.pipelined import PipelinedSSPProgram
+from repro.core.keys import gamma_for
+from repro.core.pipelined import PipelinedSSPProgram, theorem11_round_bound
 from repro.core.unweighted import UnweightedAPSPProgram
 from repro.faults import FaultPlan
 from repro.faults.monitor import oracle_monitor
 from repro.graphs import io as gio
 from repro.graphs import path_graph, random_graph
-from repro.obs import Tracer
+from repro.graphs.reference import weak_delta_bound
+from repro.obs import MetricsRegistry, Tracer
 from repro.perf import ColumnarNetwork, make_network, use_backend
 from repro.perf import columnar as columnar_mod
 from repro.perf.backends import BACKENDS
@@ -564,11 +571,198 @@ def test_columnar_pipelined_numpy_python_agree(data):
     assert runs[True] == runs[False]
 
 
+# --- traced pipelined differential: the pipelined kernel emits the
+# --- worklist loop's event stream itself ------------------------------
+
+
+def observe_traced_pipelined(g, sources, h, backend, *, max_events,
+                             split_recorder=False, budgets=(10 ** 6,),
+                             delta=None):
+    """Run Algorithm 1 on *backend* with a ``Tracer`` (ring of
+    *max_events*) and a ``MetricsRegistry`` attached, one ``run`` per
+    budget, and capture everything the observation saw.  With
+    *split_recorder* the programs record into their own
+    ``TraceRecorder`` and the tracer sees only the network events."""
+    k = len(sources)
+    if delta is None:
+        delta = weak_delta_bound(g, sources, h)
+    gamma = gamma_for(h, k, delta)
+    bound = theorem11_round_bound(h, k, delta)
+    tracer = Tracer(max_events=max_events)
+    prog_trace = TraceRecorder() if split_recorder else tracer
+    registry = MetricsRegistry()
+    net = make_network(
+        g, lambda v: PipelinedSSPProgram(v, sources, h, gamma,
+                                         cutoff_round=bound,
+                                         trace=prog_trace),
+        backend=backend, tracer=tracer, registry=registry)
+    legs = []
+    with tracer.span("pipelined", h=h, k=k, delta=delta) as sp:
+        for budget in budgets:
+            try:
+                net.run(max_rounds=budget)
+                legs.append(("quiesced",))
+            except RoundLimitExceeded as exc:
+                legs.append(("round-limit", str(exc),
+                             post_mortem_summary(exc.post_mortem)))
+            except AssertionError as exc:  # Invariant 1, kernel checks
+                legs.append(("assertion", str(exc)))
+                break
+        sp.set(rounds=net.metrics.rounds)
+    snap = registry.snapshot()
+    return {
+        "legs": legs,
+        "events": [tuple(e) for e in tracer.events],
+        "event_spans": list(tracer._event_spans),
+        "dropped": tracer.dropped,
+        "spans": [(sp.span_id, sp.parent_id, sp.name, sp.attrs)
+                  for sp in tracer.spans],
+        "program_events": ([tuple(e) for e in prog_trace.events]
+                           if split_recorder else None),
+        "send_history": [send_history(p) for p in net.programs],
+        "outputs": net.outputs(),
+        "metrics": metrics_summary(net.metrics),
+        "registry": (snap["counters"], snap["gauges"],
+                     {name: hist["count"]
+                      for name, hist in snap["histograms"].items()}),
+    }
+
+
+def assert_traced_pipelined_equivalent(g, sources, h, backend, **kwargs):
+    """:func:`observe_traced_pipelined` on the reference backend and on
+    *backend* -- the columnar one under each bulk implementation -- must
+    agree on every observation.  Returns the reference observation."""
+    ref = observe_traced_pipelined(g, sources, h, "reference", **kwargs)
+    impls = [None]
+    if backend == "columnar":
+        impls = [False] + ([True] if columnar_mod._numpy() is not None
+                           else [])
+    for use_np in impls:
+        prev = columnar_mod.set_numpy_enabled(use_np)
+        try:
+            got = observe_traced_pipelined(g, sources, h, backend, **kwargs)
+        finally:
+            columnar_mod.set_numpy_enabled(prev)
+        for key, want in ref.items():
+            assert got[key] == want, (
+                f"{backend} backend diverged from reference on traced "
+                f"{key} (numpy={use_np}): {backend}={got[key]!r} "
+                f"ref={want!r}")
+    return ref
+
+
+@backends
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_traced_pipelined_differential(backend, data):
+    """Traced (h, k)-SSP: identical event streams (program and network
+    events, in order), span ids, ring drops, span attributes,
+    ``sent_at`` histories, outputs, metrics and registry contents on
+    every backend -- with a small ring that wraps, with the programs'
+    recorder split from the network tracer, and across a round-limited
+    run resumed to quiescence."""
+    g = data.draw(small_graphs)
+    n = g.n
+    sources = sorted(data.draw(st.sets(st.integers(0, n - 1),
+                                       min_size=1, max_size=min(n, 4))))
+    h = data.draw(st.integers(1, max(1, n - 1)))
+    assert_traced_pipelined_equivalent(
+        g, sources, h, backend,
+        max_events=data.draw(st.sampled_from([7, 50, 10 ** 5])),
+        split_recorder=data.draw(st.booleans()),
+        budgets=data.draw(st.sampled_from([(10 ** 6,), (3, 10 ** 6)])))
+
+
+def test_traced_pipelined_rational_gamma_keys():
+    """With ``h k / Delta = 16/9`` gamma is the rational 4/3, keyed as
+    the exact quotient ``(4 d + 3 l) / 3`` (repro.core.keys.key_of);
+    the kernel's vector and scalar keys must match it bit for bit, and
+    the insert events carry every key."""
+    g = random_graph(10, p=0.4, w_max=6, zero_fraction=0.2, seed=3,
+                     directed=True)
+    obs = assert_traced_pipelined_equivalent(
+        g, [0, 3, 5, 7], 4, "columnar", max_events=10 ** 5, delta=9)
+    # the instance discriminates: some key differs from the plain
+    # multiply-add on the float gamma
+    g_float = float(gamma_for(4, 4, 9))
+    inserts = [data for _r, _v, kind, data in obs["events"]
+               if kind == "insert"]
+    assert any(d * g_float + l != kappa
+               for d, l, _x, kappa, _pos in inserts)
+
+
+def test_traced_pipelined_resumption():
+    """A traced run interrupted by the round limit, then resumed: the
+    columnar kernel stays engaged across both legs, and the interrupt,
+    the post-mortem, the event stream and the ring drops all match the
+    reference."""
+    g = random_graph(14, p=0.35, w_max=6, zero_fraction=0.3, seed=7,
+                     directed=True)
+    obs = assert_traced_pipelined_equivalent(
+        g, [0, 4, 9], 5, "columnar", max_events=200, budgets=(6, 10 ** 6))
+    assert obs["legs"][0][0] == "round-limit"
+    assert obs["legs"][1] == ("quiesced",)
+    assert obs["dropped"] > 0
+    assert any("sent in round" in line
+               for hist in obs["send_history"] for line in hist)
+
+    tracer = Tracer()
+    net = ColumnarNetwork(
+        g, lambda v: PipelinedSSPProgram(v, (0, 4, 9), 5, 1.5,
+                                         trace=tracer),
+        tracer=tracer)
+    with pytest.raises(RoundLimitExceeded):
+        net.run(max_rounds=6)
+    assert net._columnar_kernel() is not None
+    net.run(max_rounds=10 ** 6)
+    assert net._columnar_kernel() is not None
+
+
+def test_traced_pipelined_invariant1_events():
+    """Events emitted before an Invariant 1 failure are in the tracer
+    when the AssertionError propagates, on every backend.  The failure
+    is provoked by resuming with the round counter moved past scheduled
+    sends, so later arrivals land on positions already due."""
+    g = random_graph(14, p=0.35, w_max=6, zero_fraction=0.3, seed=7,
+                     directed=True)
+
+    def observe(network_cls):
+        tracer = Tracer(max_events=300)
+        net = network_cls(
+            g, lambda v: PipelinedSSPProgram(v, (0, 4, 9), 5, 1.5,
+                                             trace=tracer),
+            tracer=tracer)
+        with pytest.raises(RoundLimitExceeded):
+            net.run(max_rounds=6)
+        net._round = 8
+        with pytest.raises(AssertionError, match="Invariant 1") as exc:
+            net.run(max_rounds=10 ** 5)
+        return (str(exc.value), [tuple(e) for e in tracer.events],
+                tracer._event_spans, tracer.dropped,
+                [send_history(p) for p in net.programs])
+
+    ref = observe(Network)
+    assert ref[1][-1][2] == "insert"  # the offending insert is recorded
+    for network_cls in (BACKENDS[b] for b in CONFORMANCE_BACKENDS):
+        impls = [None]
+        if network_cls is ColumnarNetwork:
+            impls = [False] + ([True] if columnar_mod._numpy() is not None
+                               else [])
+        for use_np in impls:
+            prev = columnar_mod.set_numpy_enabled(use_np)
+            try:
+                assert observe(network_cls) == ref, (network_cls, use_np)
+            finally:
+                columnar_mod.set_numpy_enabled(prev)
+
+
 def test_columnar_bulk_path_engaged():
     """Guard against the columnar backend silently running everything
     on the inherited loop: the relaxation family AND the pipelined
-    (h, k)-SSP family take their bulk kernels; hooked runs,
-    instrumented programs, and mixed-parameter networks do not."""
+    (h, k)-SSP family take their bulk kernels, the pipelined one also
+    when traced or recording sends; fault plans, ring recorders,
+    monitors, mixed-parameter networks, paranoid mode, and a traced
+    relaxation network do not."""
     g = path_graph(4, w=2)
     bf = lambda v: BellmanFordProgram(v, 0)
     assert ColumnarNetwork(g, bf)._columnar_kernel() is not None
@@ -585,13 +779,23 @@ def test_columnar_bulk_path_engaged():
     # kernel landed...
     pipelined = lambda v: PipelinedSSPProgram(v, (0,), h=3, gamma=1.0)
     assert ColumnarNetwork(g, pipelined)._columnar_kernel() is not None
-    # ...but network hooks and per-program instrumentation still take
-    # the generic loop:
+    # ...traced and send-recording runs included (the kernel emits the
+    # worklist loop's event stream and keeps a sent_at column)...
     assert ColumnarNetwork(
-        g, pipelined, tracer=Tracer())._columnar_kernel() is None
+        g, pipelined, tracer=Tracer())._columnar_kernel() is not None
     recorded = lambda v: PipelinedSSPProgram(v, (0,), h=3, gamma=1.0,
                                              record_sends=True)
-    assert ColumnarNetwork(g, recorded)._columnar_kernel() is None
+    assert ColumnarNetwork(g, recorded)._columnar_kernel() is not None
+    # ...but fault plans, ring recorders and monitors take the generic
+    # loop:
+    assert ColumnarNetwork(
+        g, pipelined, fault_plan=FaultPlan(seed=1, drop_rate=0.5),
+    )._columnar_kernel() is None
+    assert ColumnarNetwork(
+        g, pipelined, record_window=2)._columnar_kernel() is None
+    assert ColumnarNetwork(
+        g, pipelined, monitor=oracle_monitor(g, [0]))._columnar_kernel() \
+        is None
     mixed_h = lambda v: PipelinedSSPProgram(v, (0,), h=3 if v else 2,
                                             gamma=1.0)
     assert ColumnarNetwork(g, mixed_h)._columnar_kernel() is None
@@ -707,6 +911,20 @@ class TestConformanceCatchesCorruption:
         finally:
             columnar_mod.set_corruption(prev)
 
+    @pytest.mark.parametrize("mode", _PIPELINED_CORRUPTION_MODES)
+    def test_corrupted_traced_pipelined_round_is_caught(self, mode):
+        """The same corruptions are caught with a tracer attached (the
+        traced kernel is a different code path through the same fold)."""
+        prev = columnar_mod.set_corruption(mode)
+        try:
+            for g, srcs, h in self._pipelined_corpus():
+                with pytest.raises(AssertionError,
+                                   match="columnar backend diverged"):
+                    assert_traced_pipelined_equivalent(
+                        g, srcs, h, "columnar", max_events=10 ** 5)
+        finally:
+            columnar_mod.set_corruption(prev)
+
     def test_uncorrupted_control(self, columnar_impl):
         """The same checks pass with corruption off -- the mutation
         tests above cannot be passing vacuously."""
@@ -717,6 +935,8 @@ class TestConformanceCatchesCorruption:
             assert_entrypoint_equivalent(
                 run_hk_ssp, g, srcs, h,
                 compare=("dist", "sources", "delta"), backend="columnar")
+            assert_traced_pipelined_equivalent(
+                g, srcs, h, "columnar", max_events=10 ** 5)
 
     def test_unknown_corruption_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown corruption mode"):

@@ -12,6 +12,7 @@ from repro.core import (
     send_round,
     theoretical_key_bound,
 )
+from repro.core.keys import RationalGamma
 
 
 class TestGamma:
@@ -25,6 +26,24 @@ class TestGamma:
     def test_invalid_inputs(self, h, k, delta):
         with pytest.raises(ValueError):
             gamma_for(h, k, delta)
+
+    def test_rational_gamma_keeps_its_ratio(self):
+        """``h k / Delta = 361/9``: gamma is 19/3, keyed exactly
+        (57 * float(19/3) would be 361.00000000000006), and the ratio
+        survives pickling (checkpoints and sweep workers pickle the
+        programs that hold it)."""
+        import copy
+        import pickle
+
+        g = gamma_for(57, 247, 351)
+        assert isinstance(g, RationalGamma) and (g.num, g.den) == (19, 3)
+        assert g == math.sqrt(57 * 247 / 351)
+        assert key_of(57, 0, g) == 361.0
+        assert key_of(57, 0, float(g)) > 361.0
+        for clone in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+            assert type(clone) is RationalGamma
+            assert (clone, clone.num, clone.den) == (g, 19, 3)
+        assert type(gamma_for(4, 9, 5)) is float  # 36/5: irrational
 
     def test_delta_zero_gamma_exceeds_cutoff(self):
         """The degenerate stand-in must push any d >= 1 key past the

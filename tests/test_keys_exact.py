@@ -6,7 +6,7 @@ ceilings agree bit-for-bit with exact integer arithmetic.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.keys import gamma_for, key_of, send_round
@@ -84,6 +84,9 @@ def test_float_ordering_matches_exact(params, d1, l1, d2, l2):
        st.integers(min_value=0, max_value=4096),
        st.integers(min_value=0, max_value=512),
        st.integers(min_value=1, max_value=2048))
+# gamma = 19/3 exactly, yet 57 * float(gamma) is 361.00000000000006: the
+# rational gamma must be keyed exactly (repro.core.keys.RationalGamma).
+@example((57, 247, 351), 57, 0, 1)
 def test_float_ceil_matches_exact(params, d, l, pos):
     h, k, delta = params
     g = gamma_for(h, k, delta)

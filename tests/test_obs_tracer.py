@@ -1,9 +1,11 @@
 """Tests for repro.obs.tracer: span hierarchy, bounded event buffering,
 and the JSONL export round-trip."""
 
+from contextlib import nullcontext
+
 import pytest
 
-from repro.congest.events import TraceRecorder
+from repro.congest.events import RingTraceRecorder, TraceEvent, TraceRecorder
 from repro.obs import Tracer, load_jsonl
 
 
@@ -83,6 +85,31 @@ class TestEvents:
         assert t.dropped == 1000 - len(t.events)
         # the *newest* events are the ones retained
         assert t.events[-1].data == (999,)
+
+    @pytest.mark.parametrize("make", [
+        lambda: Tracer(max_events=5), lambda: Tracer(max_events=16),
+        lambda: Tracer(), lambda: TraceRecorder(),
+        lambda: RingTraceRecorder(3)])
+    def test_emit_events_equals_one_emit_per_event(self, make):
+        """The bulk hand-over of the columnar kernel leaves every
+        recorder -- ring drops and span ids included -- exactly as
+        emitting the events one by one would."""
+        events = [TraceEvent(r // 4, r % 3, "e", (r, -r)) for r in range(40)]
+
+        def feed(bulk):
+            rec = make()
+            for k, (i, j) in enumerate(((0, 7), (7, 30), (30, 40))):
+                in_span = k == 1 and isinstance(rec, Tracer)
+                with rec.span("phase") if in_span else nullcontext():
+                    if bulk:
+                        rec.emit_events(events[i:j])
+                    else:
+                        for e in events[i:j]:
+                            rec.emit(e.round, e.node, e.kind, *e.data)
+            return (rec.events, getattr(rec, "dropped", None),
+                    getattr(rec, "_event_spans", None))
+
+        assert feed(bulk=True) == feed(bulk=False)
 
     def test_events_record_innermost_span(self):
         t = Tracer()
