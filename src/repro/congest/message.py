@@ -12,8 +12,7 @@ is rejected rather than silently mis-measured.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Tuple
+from typing import Any, NamedTuple, Tuple
 
 
 class MessageSizeError(ValueError):
@@ -25,6 +24,12 @@ class CongestionError(RuntimeError):
     single directed channel in a single round."""
 
 
+#: Exact scalar types of one word each (``bool`` is listed because the
+#: check below is on exact types, not ``isinstance``).
+_SCALARS = frozenset((int, float, bool, str, type(None)))
+_all_scalar_types = _SCALARS.issuperset
+
+
 def payload_words(payload: Any) -> int:
     """Number of ``O(log n)``-bit words needed to encode *payload*.
 
@@ -34,6 +39,10 @@ def payload_words(payload: Any) -> int:
     a distance, or a flag, all of which fit in ``O(log n)`` bits for the
     weight ranges the paper considers (``B = O(log n)``-bit weights).
     """
+    if type(payload) is tuple and _all_scalar_types(map(type, payload)):
+        # Fast path: a flat tuple of plain scalars, which is every
+        # Algorithm 1 message -- one word per field, no recursion.
+        return len(payload)
     if payload is None or isinstance(payload, (bool, int, float)):
         return 1
     if isinstance(payload, str):
@@ -46,24 +55,31 @@ def payload_words(payload: Any) -> int:
     raise TypeError(f"unsupported payload type for CONGEST message: {type(payload)!r}")
 
 
-@dataclass(frozen=True)
-class Envelope:
+class Envelope(NamedTuple):
     """A message in flight: *payload* sent from *src* to *dst* in round *round*.
 
     ``words`` is cached at construction so congestion accounting does not
-    re-walk the payload.
+    re-walk the payload.  An immutable record (a ``NamedTuple``): fields
+    read as attributes or unpack positionally, assignment raises
+    ``AttributeError``, and an envelope compares equal to the plain tuple
+    ``(src, dst, round, payload, words)``.
     """
 
     src: int
     dst: int
     round: int
     payload: Any
-    words: int = field(default=0)
+    words: int = 0
 
     @staticmethod
     def make(src: int, dst: int, round_: int, payload: Any) -> "Envelope":
-        return Envelope(src=src, dst=dst, round=round_, payload=payload,
-                        words=payload_words(payload))
+        return _new(Envelope, (src, dst, round_, payload,
+                               payload_words(payload)))
+
+
+#: Positional construction without the generated ``__new__`` wrapper,
+#: for the simulators' per-message hot paths: ``_new(Envelope, fields)``.
+_new = tuple.__new__
 
 
 Channel = Tuple[int, int]

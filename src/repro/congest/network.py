@@ -30,14 +30,16 @@ Design notes
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
-
+from operator import attrgetter
 from time import perf_counter as _perf
+from typing import Any, Callable, Dict, List, Optional
 
 from ..obs.profiling import HOT as _HOT
 from .message import CongestionError, Envelope, MessageSizeError
 from .metrics import RunMetrics
 from .node import NodeContext, Program
+
+_SRC = attrgetter("src")
 
 
 class RoundLimitExceeded(RuntimeError):
@@ -234,6 +236,13 @@ class Network:
         ]
 
         metrics = self.metrics
+        chmsg = metrics.channel_messages
+        word_budget, capacity = self.max_message_words, self.channel_capacity
+        # Message totals (``RunMetrics.record_message``, inlined) add up
+        # in locals and flush in the ``finally`` block, so an interrupted
+        # run still reports exactly the load it offered.
+        msg_count = words_total = 0
+        max_msg_words = metrics.max_message_words
         prev_r = self._round
         try:
             while True:
@@ -277,25 +286,34 @@ class Network:
                 channel_load: Dict[tuple, int] = {}
                 deliveries: List[Envelope] = []
                 for env in envelopes:
-                    if env.words > self.max_message_words:
+                    src, dst, _sent, payload, words = env
+                    if words > word_budget:
                         raise MessageSizeError(
-                            f"round {r}: node {env.src} sent a {env.words}-word "
-                            f"message (budget {self.max_message_words}): "
-                            f"{env.payload!r}")
-                    ch = (env.src, env.dst)
+                            f"round {r}: node {src} sent a {words}-word "
+                            f"message (budget {word_budget}): "
+                            f"{payload!r}")
+                    ch = (src, dst)
                     load = channel_load.get(ch, 0) + 1
-                    if load > self.channel_capacity:
+                    if load > capacity:
                         raise CongestionError(
                             f"round {r}: channel {ch} carries {load} messages "
-                            f"(capacity {self.channel_capacity})")
+                            f"(capacity {capacity})")
                     channel_load[ch] = load
-                    metrics.record_message(env.src, env.dst, env.words)
+                    msg_count += 1
+                    words_total += words
+                    if words > max_msg_words:
+                        max_msg_words = words
+                    chmsg[ch] += 1
                     if recorder is not None:
-                        recorder.emit(r, env.src, "send", env.dst, env.payload)
+                        recorder.emit(r, src, "send", dst, payload)
                     if tracer is not None:
-                        tracer.emit(r, env.src, "net.send", env.dst, env.words)
+                        tracer.emit(r, src, "net.send", dst, words)
                     if injector is None:
-                        inboxes.setdefault(env.dst, []).append(env)
+                        box = inboxes.get(dst)
+                        if box is None:
+                            inboxes[dst] = [env]
+                        else:
+                            box.append(env)
                     else:
                         # The fault model acts after enforcement and
                         # accounting: metrics measure offered load.
@@ -314,9 +332,16 @@ class Network:
                     metrics.rounds = max(metrics.rounds, r)
 
                 # --- receive phase ------------------------------------------
+                # Inboxes are in ascending sender order: senders run in
+                # node order and each inbox is filled in envelope order.
+                # Only the injector's delayed and duplicated copies can
+                # arrive out of order, so only its path sorts (stably, so
+                # a sender's messages keep their send order).
                 receivers = sorted(inboxes)
                 for v in receivers:
-                    inbox = sorted(inboxes[v], key=lambda e: e.src)
+                    inbox = inboxes[v]
+                    if injector is not None:
+                        inbox.sort(key=_SRC)
                     if recorder is not None:
                         for env in inbox:
                             recorder.emit(r, v, "recv", env.src, env.payload)
@@ -358,6 +383,9 @@ class Network:
                             pass
                         raise
         finally:
+            metrics.messages += msg_count
+            metrics.words += words_total
+            metrics.max_message_words = max_msg_words
             if injector is not None:
                 metrics.set_fault_stats(injector.stats.as_dict())
             if registry is not None:

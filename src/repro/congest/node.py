@@ -34,7 +34,7 @@ from time import perf_counter as _perf
 from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from ..obs.profiling import HOT as _HOT
-from .message import Envelope, payload_words
+from .message import Envelope, _new, payload_words
 
 
 class NodeContext:
@@ -47,7 +47,8 @@ class NodeContext:
 
     __slots__ = (
         "node", "n", "out_edges", "in_edges", "comm_neighbors",
-        "_in_weight", "_neighbor_set", "_outbox", "_round", "_sending",
+        "out_neighbors", "weight_in", "_neighbor_set", "_outbox", "_round",
+        "_sending",
     )
 
     def __init__(self, node: int, n: int,
@@ -65,19 +66,20 @@ class NodeContext:
         #: Neighbours in the underlying undirected communication graph
         #: ``U_G`` (channels are bidirectional even for directed G).
         self.comm_neighbors: Tuple[int, ...] = tuple(comm_neighbors)
-        self._in_weight = {u: w for u, w in in_edges}
+        #: Heads of the outgoing edges, in ``out_edges`` order (the
+        #: destinations of :meth:`broadcast_out`).
+        self.out_neighbors: Tuple[int, ...] = tuple(
+            [v for v, _w in self.out_edges])
+        #: ``weight_in(src)``: weight of the directed edge ``src ->
+        #: self.node``; ``None`` if no such edge exists (a message may
+        #: still arrive from ``src`` over the bidirectional channel of
+        #: edge ``self.node -> src``).  A bound ``dict.get``, so the
+        #: per-message lookup of a receive loop is one C call.
+        self.weight_in = {u: w for u, w in self.in_edges}.get
         self._neighbor_set = frozenset(self.comm_neighbors)
         self._outbox: List[Envelope] = []
         self._round = 0
         self._sending = False
-
-    # -- topology queries -------------------------------------------------
-
-    def weight_in(self, src: int) -> Optional[int]:
-        """Weight of the directed edge ``src -> self.node``; ``None`` if no
-        such edge exists (a message may still arrive from ``src`` over the
-        bidirectional channel of edge ``self.node -> src``)."""
-        return self._in_weight.get(src)
 
     # -- sending ----------------------------------------------------------
 
@@ -127,8 +129,7 @@ class NodeContext:
                     "messages may only cross incident edges")
             if words is None:
                 words = payload_words(payload)
-            append(Envelope(src=src, dst=dst, round=rnd,
-                            payload=payload, words=words))
+            append(_new(Envelope, (src, dst, rnd, payload, words)))
         if prof is not None:
             prof.record("node.send_many", _perf() - t0)
 
@@ -145,7 +146,7 @@ class NodeContext:
         travel along directed edges, so restricting the broadcast halves
         traffic without changing any result on directed inputs.
         """
-        self.send_many((v for v, _w in self.out_edges), payload)
+        self.send_many(self.out_neighbors, payload)
 
 
 class Program:
@@ -160,7 +161,11 @@ class Program:
 
     def on_receive(self, ctx: NodeContext, r: int, inbox: List[Envelope]) -> None:
         """Receive phase of round *r*: *inbox* holds the messages sent to
-        this node during round *r*, sorted by sender id (deterministic)."""
+        this node during round *r*, in ascending sender id order, with
+        one sender's messages in the order it sent them (deterministic;
+        tests/test_inbox_order.py pins it on every backend).  Under a
+        fault plan, delayed and duplicated copies are placed by sender
+        id only."""
 
     def next_active_round(self, ctx: NodeContext, r: int) -> Optional[int]:
         """Earliest round ``> r`` in which this node may need its send

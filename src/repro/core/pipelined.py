@@ -158,24 +158,25 @@ class PipelinedSSPProgram(Program):
         # is in hoisting -- bind the list, the weight lookup, and the
         # per-source bests once per round instead of once per envelope --
         # and in the per-round stats below being O(1) kernel reads rather
-        # than full-list recounts.
+        # than full-list recounts.  An ``Entry`` is built only for a
+        # candidate that is inserted: a Step 13 rejection needs its sort
+        # key alone.
         list_v = self.list_v
         gamma = self.gamma
         best = self.best
         budget = self.budget
         weight_in = ctx.weight_in
-        for env in inbox:
-            y = env.src
+        count_below = list_v.count_for_source_below
+        for y, _dst, _sent, payload, _words in inbox:
             w = weight_in(y)
             if w is None:
                 # Message arrived over the bidirectional channel of an
                 # edge v -> y; there is no edge y -> v to relax.
                 continue
-            d_in, l_in, x, _flag_in, nu_in = env.payload
+            d_in, l_in, x, _flag_in, nu_in = payload
             d = d_in + w
             l = l_in + 1
             kappa = key_of(d, l, gamma)
-            z = Entry(kappa, d, l, x, parent=y)
 
             # Steps 8-13: list maintenance.  flag-d* marks the entry with
             # the smallest (d, kappa) among *all* entries for the source
@@ -186,7 +187,9 @@ class PipelinedSSPProgram(Program):
             # *their* h-hop answers from Insert's eviction (the Figure 1
             # phenomenon; see tests/test_pipelined.py).
             b = best[x]
-            if b.beats(d, l, y):
+            # ``d <= b.d`` first: beats() is False for a larger distance,
+            # the common case once the source's estimate has settled.
+            if d <= b.d and b.beats(d, l, y):
                 # Steps 9-11: new flag-d* holder.  Inserting the SP entry
                 # does not evict (the eviction clause of Insert applies to
                 # non-SP additions, which are the only ones admitted by a
@@ -194,7 +197,7 @@ class PipelinedSSPProgram(Program):
                 if self.trace is not None:
                     self.trace.emit(r, self.v, "promote", x, d, l)
                 old = b.entry
-                z.flag_sp = True
+                z = Entry(kappa, d, l, x, flag_sp=True, parent=y)
                 b.d, b.l, b.parent, b.entry = d, l, y, z
                 pos = list_v.insert_sp(z)
                 if old is not None:
@@ -218,8 +221,8 @@ class PipelinedSSPProgram(Program):
             else:
                 # Step 13: non-SP quota gate, then Insert with eviction of
                 # the closest non-SP same-source entry above.
-                below = list_v.count_for_source_below(x, z.sort_key)
-                if below < nu_in:
+                if count_below(x, (kappa, d, x)) < nu_in:
+                    z = Entry(kappa, d, l, x, parent=y)
                     pos, _removed = list_v.insert(z, budget)
                     self._note_insert(r, z, pos)
 

@@ -34,7 +34,10 @@ On those columns:
   removed outright, else closest non-SP same-source entry above
   evicted when the Invariant 2 budget demands), the Step 13 quota gate
   is one per-source ``bisect_right``, and Invariant 1 is asserted per
-  insert with the reference's exact message.
+  insert with the reference's exact message.  Under numpy, arrivals
+  that the round-start state already shows Step 13 must reject are
+  dropped by a vectorized prefilter before the fold (see
+  :meth:`_PipelinedKernel._round_numpy` for why that is exact).
 
 The **order** of arrivals within a round is semantic (the quota gate
 and the flag-d* tie-breaks read list state mutated by earlier arrivals
@@ -189,6 +192,10 @@ class _PipelinedKernel:
         #: and per-entry ``sent_at`` recording, shared by every program.
         self.trace = p0.trace
         self.record_sends: bool = p0.record_sends
+        #: The distinct sources, and each one's index among them (its
+        #: column in the numpy round's per-(node, source) prefilter).
+        self.sources: Tuple[int, ...] = tuple(dict.fromkeys(p0.sources))
+        self._xi: Dict[int, int] = {x: i for i, x in enumerate(self.sources)}
         #: The arrival fold's event buffer for the current round; None
         #: when no program-level recorder is attached.
         self._pev: Optional[list] = None
@@ -240,6 +247,11 @@ class _PipelinedKernel:
             self._np_heads = np.asarray(self._heads, dtype=np.int64)
             self._np_weights = np.asarray(self._weights, dtype=np.int64)
             self._np_edge_msgs = np.zeros(len(self._heads), dtype=np.int64)
+            self._np_wok = np.asarray(self._wok, dtype=bool)
+            xi = np.zeros(self.n, dtype=np.int64)
+            for x, i in self._xi.items():
+                xi[x] = i
+            self._np_xi = xi
             self._np_ready = True
 
     # -- load / store ------------------------------------------------------
@@ -300,6 +312,24 @@ class _PipelinedKernel:
             self.MAXSRC[v] = st["max_per_source"]
             self.LASTSP[v] = st["last_sp_round"]
             self.SENDS[v] = st["sends"]
+        if self._use_np:
+            # The numpy round's prefilter state, one cell per (node v,
+            # source index i) at v * k + i: the best distance, the entry
+            # count and the kappa of the largest key (see _round_numpy).
+            best_d: List[float] = []
+            count: List[int] = []
+            tail_k: List[float] = []
+            for v in range(n):
+                best_v, skeys_v = self.BEST[v], self.SKEYS[v]
+                for x in self.sources:
+                    best_d.append(best_v[x][0])
+                    sk = skeys_v.get(x)
+                    count.append(len(sk) if sk else 0)
+                    tail_k.append(sk[-1][0] if sk else _INF)
+            np = _cmod._numpy()
+            self._np_best_d = np.array(best_d, dtype=np.float64)
+            self._np_count = np.array(count, dtype=np.int64)
+            self._np_tail_k = np.array(tail_k, dtype=np.float64)
 
     def _store(self) -> None:
         """Columns -> program state (in place, preserving the object
@@ -529,7 +559,7 @@ class _PipelinedKernel:
 
                 # Steps 2-13: expand deliveries through the CSR, fold
                 # per-destination candidates in ascending-source order.
-                total, receivers = round_fn(
+                total, receivers, changed = round_fn(
                     r, senders, send_d, send_l, send_x, send_f, send_nu)
 
                 if total:
@@ -542,12 +572,15 @@ class _PipelinedKernel:
                         if indptr[v + 1] > indptr[v]:
                             node_sends[v] += 1
 
-                # Reschedule every touched node (senders consumed their
-                # slot; receivers' lists may have shifted positions).
-                # The bisection is _next_fire inlined -- this is the
+                # Reschedule the senders (they consumed their slot) and
+                # the receivers whose lists changed.  A receiver whose
+                # arrivals were all rejected keeps its schedule: its
+                # positions did not move, and it did not fire this
+                # round, so its next fire is still sched[v].  The
+                # bisection is _next_fire inlined -- this is the
                 # hottest loop after the arrival fold itself.
                 touched = dict.fromkeys(senders)
-                touched.update(dict.fromkeys(receivers))
+                touched.update(dict.fromkeys(changed))
                 for v in touched:
                     keys_v = KEYS[v]
                     nk = len(keys_v)
@@ -607,8 +640,9 @@ class _PipelinedKernel:
                       send_nu):
         """CSR expansion + per-destination fold, batched pure Python (no
         Envelope or payload objects; per-edge tallies into the flat
-        counter).  Returns ``(messages_sent, receivers)`` with
-        *receivers* ascending."""
+        counter).  Returns ``(messages_sent, receivers, changed)``:
+        *receivers* ascending, and *changed* the receivers whose list an
+        arrival altered."""
         indptr, heads, weights = self._indptr, self._heads, self._weights
         wok = self._wok
         edge_msgs = self._edge_msgs
@@ -651,26 +685,57 @@ class _PipelinedKernel:
                 else:
                     box.append(rec)
         receivers = sorted(inboxes)
+        changed: List[int] = []
         arrival = self._arrival
+        BEST, SKEYS = self.BEST, self.SKEYS
         for u in receivers:
+            best_u = BEST[u]
+            skeys_u = SKEYS[u]
+            dirty = False
             for (y, d, l, kappa, x, nu_in) in inboxes[u]:
-                arrival(u, r, y, d, l, kappa, x, nu_in)
+                if d > best_u[x][0]:
+                    # Cannot take flag-d*, so Step 13's quota gate
+                    # decides, inlined because it rejects most arrivals
+                    # untouched: at least nu_in same-source keys are at
+                    # or below the key iff the nu_in-th one is.
+                    sk = skeys_u.get(x)
+                    if sk is not None and len(sk) >= nu_in \
+                            and sk[nu_in - 1] <= (kappa, d, x):
+                        continue
+                if arrival(u, r, y, d, l, kappa, x, nu_in):
+                    dirty = True
+            if dirty:
+                changed.append(u)
             self._finish_receiver(u)
-        return total, receivers
+        return total, receivers, changed
 
     def _round_numpy(self, r, senders, send_d, send_l, send_x, send_f,
                      send_nu):
         """The vectorized expansion: one CSR gather for the round's
         whole edge batch, candidate ``(d', l', kappa')`` as three vector
-        ops, stable sort by destination, then the same sequential
-        per-destination fold on the flattened batch."""
+        ops, a vectorized prefilter that drops the arrivals Step 13
+        must reject, stable sort by destination, then the same
+        sequential per-destination fold on what is left.
+
+        The prefilter reads each (receiver, source) cell as it stood
+        at the start of the round: the best distance, the entry count
+        and the ``kappa`` of the largest key.  An arrival with a larger
+        distance than the best, whose source already holds at least
+        ``nu_in`` entries, all with a smaller ``kappa``, can neither
+        take flag-d* nor pass the quota gate.  That still holds at its
+        turn in the fold: a best distance only falls, and the number of
+        same-source keys at or below a given key never drops -- every
+        eviction removes an entry above the one just inserted, and the
+        parent-id tie-break swaps an entry for one with the same key.
+        So dropping it up front changes nothing; every other arrival
+        gets the full fold in :meth:`_arrival`."""
         np = _cmod._numpy()
         sv = np.asarray(senders, dtype=np.int64)
         starts = self._np_indptr[sv]
         counts = self._np_indptr[sv + 1] - starts
         total = int(counts.sum())
         if total == 0:
-            return 0, []
+            return 0, [], []
         offs = np.repeat(starts - np.concatenate(
             ([0], np.cumsum(counts)[:-1])), counts)
         edges = np.arange(total, dtype=np.int64) + offs
@@ -689,41 +754,62 @@ class _PipelinedKernel:
         else:
             num, den = self.ratio
             kappa = (cand_d * num + cand_l * den) / den
+        k = len(self.sources)
+        cells = dsts * k \
+            + self._np_xi[np.asarray(send_x, dtype=np.int64)][slots]
+        cand_nu = np.asarray(send_nu, dtype=np.int64)[slots]
+        rejected = ((cand_d > self._np_best_d[cells])
+                    & (self._np_count[cells] >= cand_nu)
+                    & (self._np_tail_k[cells] < kappa))
+        if not self._all_wok:
+            # a channel of the reverse edge only: nothing to relax
+            rejected |= ~self._np_wok[edges]
         order = np.argsort(dsts, kind="stable")
-        o_dst = dsts[order].tolist()
-        o_edge = edges[order].tolist()
-        o_slot = slots[order].tolist()
-        o_d = cand_d[order].tolist()
-        o_l = cand_l[order].tolist()
-        o_k = kappa[order].tolist()
-        wok = self._wok
-        all_wok = self._all_wok
+        receivers = list(dict.fromkeys(dsts[order].tolist()))
+        fold = order[~rejected[order]]
+        f_dst = dsts[fold].tolist()
+        f_slot = slots[fold].tolist()
+        f_d = cand_d[fold].tolist()
+        f_l = cand_l[fold].tolist()
+        f_k = kappa[fold].tolist()
         arrival = self._arrival
         finish = self._finish_receiver
-        receivers: List[int] = []
-        prev_u = -1
-        for t in range(total):
-            u = o_dst[t]
-            if u != prev_u:
-                if prev_u >= 0:
-                    finish(prev_u)
-                receivers.append(u)
-                prev_u = u
-            if all_wok or wok[o_edge[t]]:
-                slot = o_slot[t]
-                arrival(u, r, senders[slot], o_d[t], o_l[t], o_k[t],
-                        send_x[slot], send_nu[slot])
-        if prev_u >= 0:
-            finish(prev_u)
-        return total, receivers
+        BEST, SKEYS = self.BEST, self.SKEYS
+        xi = self._xi
+        best_d = self._np_best_d
+        count = self._np_count
+        tail_k = self._np_tail_k
+        changed: List[int] = []
+        t = 0
+        n_fold = len(f_dst)
+        for u in receivers:
+            dirty = False
+            while t < n_fold and f_dst[t] == u:
+                si = f_slot[t]
+                x = send_x[si]
+                if arrival(u, r, senders[si], f_d[t], f_l[t], f_k[t], x,
+                           send_nu[si]):
+                    # keep the prefilter's cell current for later rounds
+                    dirty = True
+                    c = u * k + xi[x]
+                    sk = SKEYS[u][x]
+                    best_d[c] = BEST[u][x][0]
+                    count[c] = len(sk)
+                    tail_k[c] = sk[-1][0]
+                t += 1
+            if dirty:
+                changed.append(u)
+            finish(u)
+        return total, receivers, changed
 
     # -- one arrival (Steps 8-13 on the columns) ---------------------------
 
     def _arrival(self, v: int, r: int, y: int, d: int, l: int,
-                 kappa: float, x: int, nu_in: int) -> None:
+                 kappa: float, x: int, nu_in: int) -> bool:
         """Fold one candidate into node *v*'s columns -- the exact
         Steps 8-13 of the reference ``on_receive``, on columns instead
-        of Entry objects."""
+        of Entry objects.  Returns whether the list changed (False:
+        the quota gate rejected the candidate)."""
         b = self.BEST[v][x]
         bd = b[0]
         bl = b[1]
@@ -737,8 +823,15 @@ class _PipelinedKernel:
                 bp = b[2]
                 promote = y < (-1 if bp is None else bp)
         key = (kappa, d, x)
-        keys = self.KEYS[v]
         skeys = self.SKEYS[v]
+        if not promote:
+            # Step 13's quota gate first: most arrivals are rejected
+            # here, and a rejection touches no column.
+            sk = skeys.get(x)
+            j = bisect_right(sk, key) if sk else 0
+            if j >= nu_in:
+                return False
+        keys = self.KEYS[v]
         sflags = self.SFLAGS[v]
         lcol = self.LCOL[v]
         pcol = self.PCOL[v]
@@ -812,35 +905,33 @@ class _PipelinedKernel:
             if r >= _ceil(kappa + pos):  # Invariant 1 (Lemma II.12)
                 self._inv1_fail(v, r, d, l, kappa, x, y, True, pos)
         else:
-            # Step 13: non-SP quota gate, then Insert with eviction of
-            # the closest non-SP same-source entry above.
-            sk = skeys.get(x)
-            below = bisect_right(sk, key) if sk else 0
-            if below < nu_in:
-                gi = bisect_right(keys, key)
-                keys.insert(gi, key)
-                lcol.insert(gi, l)
-                pcol.insert(gi, y)
-                fcol.insert(gi, False)
-                scol.insert(gi, None)
-                if sk is None:
-                    sk = skeys[x] = []
-                    sflags[x] = []
-                sf = sflags[x]
-                j = bisect_right(sk, key)
-                sk.insert(j, key)
-                sf.insert(j, False)
-                self._hist_link(v, len(sk))
-                bud = self.budget
-                if bud is None or len(sk) > bud:
-                    self._evict_above(v, x, j)
-                pos = gi + 1
-                ev = self._pev
-                if ev is not None:
-                    ev.append(_new(_TE, (r, v, "insert",
-                                         (d, l, x, kappa, pos))))
-                if r >= _ceil(kappa + pos):  # Invariant 1 (Lemma II.12)
-                    self._inv1_fail(v, r, d, l, kappa, x, y, False, pos)
+            # Step 13: the candidate passed the quota gate above; Insert
+            # with eviction of the closest non-SP same-source entry
+            # above.
+            gi = bisect_right(keys, key)
+            keys.insert(gi, key)
+            lcol.insert(gi, l)
+            pcol.insert(gi, y)
+            fcol.insert(gi, False)
+            scol.insert(gi, None)
+            if sk is None:
+                sk = skeys[x] = []
+                sflags[x] = []
+            sf = sflags[x]
+            sk.insert(j, key)  # j: the gate's count, still the spot
+            sf.insert(j, False)
+            self._hist_link(v, len(sk))
+            bud = self.budget
+            if bud is None or len(sk) > bud:
+                self._evict_above(v, x, j)
+            pos = gi + 1
+            ev = self._pev
+            if ev is not None:
+                ev.append(_new(_TE, (r, v, "insert",
+                                     (d, l, x, kappa, pos))))
+            if r >= _ceil(kappa + pos):  # Invariant 1 (Lemma II.12)
+                self._inv1_fail(v, r, d, l, kappa, x, y, False, pos)
+        return True
 
     def _evict_above(self, v: int, x: int, src_index: int) -> None:
         """Remove the closest non-SP entry for source *x* strictly above

@@ -30,10 +30,8 @@ tie-breaks bit-identical.
 Accounting is also tightened without changing what is counted: message /
 word totals accumulate in locals and are flushed to :class:`RunMetrics`
 in a ``finally`` (so interrupted runs still report exactly what they
-did), and the per-round channel-load table is keyed by the packed slot
-``src * n + dst`` instead of a ``(src, dst)`` tuple (no per-message
-tuple allocation; the persistent ``channel_messages`` Counter keeps its
-public tuple keys).
+did), and one ``(src, dst)`` tuple per message keys both the per-round
+channel-load table and the persistent ``channel_messages`` Counter.
 
 Equivalence is *pinned*, not hoped for: ``tests/differential.py`` runs
 both backends on the same seeded programs -- including fault-injected,
@@ -288,31 +286,30 @@ class FastNetwork:
                 inboxes: Dict[int, List[Envelope]] = {}
                 if plain:
                     if envelopes:
-                        # Per-round channel load, keyed by the packed
-                        # slot src * n + dst (no tuple allocation per
-                        # message).
-                        channel_load: Dict[int, int] = {}
+                        # One (src, dst) tuple per message keys both the
+                        # per-round channel load and the run's
+                        # per-channel counter.
+                        channel_load: Dict[tuple, int] = {}
                         for env in envelopes:
-                            words = env.words
+                            src, dst, _sent, payload, words = env
                             if words > word_budget:
                                 raise MessageSizeError(
-                                    f"round {r}: node {env.src} sent a "
+                                    f"round {r}: node {src} sent a "
                                     f"{words}-word message (budget "
-                                    f"{word_budget}): {env.payload!r}")
-                            dst = env.dst
-                            slot = env.src * n + dst
-                            load = channel_load.get(slot, 0) + 1
+                                    f"{word_budget}): {payload!r}")
+                            ch = (src, dst)
+                            load = channel_load.get(ch, 0) + 1
                             if load > capacity:
                                 raise CongestionError(
-                                    f"round {r}: channel {(env.src, dst)} "
+                                    f"round {r}: channel {ch} "
                                     f"carries {load} messages (capacity "
                                     f"{capacity})")
-                            channel_load[slot] = load
+                            channel_load[ch] = load
                             msg_count += 1
                             words_total += words
                             if words > max_msg_words:
                                 max_msg_words = words
-                            chmsg[(env.src, dst)] += 1
+                            chmsg[ch] += 1
                             box = inboxes.get(dst)
                             if box is None:
                                 inboxes[dst] = [env]
@@ -329,31 +326,29 @@ class FastNetwork:
                     deliveries: List[Envelope] = []
                     channel_load = {}
                     for env in envelopes:
-                        words = env.words
+                        src, dst, _sent, payload, words = env
                         if words > word_budget:
                             raise MessageSizeError(
-                                f"round {r}: node {env.src} sent a "
+                                f"round {r}: node {src} sent a "
                                 f"{words}-word message (budget "
-                                f"{word_budget}): {env.payload!r}")
-                        dst = env.dst
-                        slot = env.src * n + dst
-                        load = channel_load.get(slot, 0) + 1
+                                f"{word_budget}): {payload!r}")
+                        ch = (src, dst)
+                        load = channel_load.get(ch, 0) + 1
                         if load > capacity:
                             raise CongestionError(
-                                f"round {r}: channel {(env.src, dst)} "
+                                f"round {r}: channel {ch} "
                                 f"carries {load} messages (capacity "
                                 f"{capacity})")
-                        channel_load[slot] = load
+                        channel_load[ch] = load
                         msg_count += 1
                         words_total += words
                         if words > max_msg_words:
                             max_msg_words = words
-                        chmsg[(env.src, dst)] += 1
+                        chmsg[ch] += 1
                         if recorder is not None:
-                            recorder.emit(r, env.src, "send", dst,
-                                          env.payload)
+                            recorder.emit(r, src, "send", dst, payload)
                         if tracer is not None:
-                            tracer.emit(r, env.src, "net.send", dst, words)
+                            tracer.emit(r, src, "net.send", dst, words)
                         if injector is None:
                             box = inboxes.get(dst)
                             if box is None:
@@ -381,10 +376,15 @@ class FastNetwork:
 
                 # --- receive phase + reschedule ------------------------
                 if inboxes:
+                    # Senders pop in node order, so every inbox is
+                    # already in ascending sender order; only the
+                    # injector's delayed and duplicated copies need the
+                    # (stable) sort.
                     receivers = sorted(inboxes)
                     for v in receivers:
                         inbox = inboxes[v]
-                        inbox.sort(key=_SRC)  # stable: sender order kept
+                        if injector is not None:
+                            inbox.sort(key=_SRC)
                         if recorder is not None:
                             for env in inbox:
                                 recorder.emit(r, v, "recv", env.src,

@@ -544,6 +544,24 @@ def test_columnar_pipelined_bulk_implementations_agree(columnar_impl):
     assert got == ref
 
 
+@pytest.mark.parametrize("eviction", ["budget", "always"])
+def test_columnar_pipelined_equal_kappa_ties(columnar_impl, eviction):
+    """With gamma = 1/2, keys ``kappa = d/2 + l`` tie at different
+    distances, so the sorted per-source keys of a node hold entries
+    with equal ``kappa`` and different ``d``.  The numpy round drops
+    an arrival before the fold only when every key of its source has
+    a strictly smaller ``kappa``; a tie must reach the fold, where the
+    full ``(kappa, d, x)`` order decides.  Both eviction policies, all
+    sources, no cutoff: the long-list regime where the quota gate
+    rejects the most."""
+    g = random_graph(12, p=0.35, w_max=3, zero_fraction=0.3, seed=0,
+                     directed=True)
+    assert_entrypoint_equivalent(run_hk_ssp, g, list(range(g.n)), g.n - 1,
+                                 gamma=0.5, cutoff=False, eviction=eviction,
+                                 compare=("dist", "hops", "parent"),
+                                 backend="columnar")
+
+
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_columnar_pipelined_numpy_python_agree(data):
