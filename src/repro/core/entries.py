@@ -74,14 +74,30 @@ class SourceBest:
     ``d*_x`` plus the tie-break fields of Step 9 (hop length and parent
     id of the current best path)."""
 
-    __slots__ = ("d", "l", "parent", "entry")
+    __slots__ = ("d", "l", "parent", "_entry", "_owner")
 
     def __init__(self) -> None:
         self.d: float = float("inf")
         self.l: float = float("inf")
         self.parent: Optional[int] = None
-        #: The Entry object currently flagged as SP (None before first).
-        self.entry: Optional[Entry] = None
+        self._entry: Optional[Entry] = None
+        #: The program whose list the columnar kernel left as columns
+        #: (``PipelinedSSPProgram.park_kernel_columns``); ``None`` when
+        #: ``entry`` is current.
+        self._owner = None
+
+    @property
+    def entry(self) -> Optional[Entry]:
+        """The Entry object currently flagged as SP (None before first).
+        After a columnar kernel run it is built on first access, together
+        with the owning program's ``list_v``."""
+        if self._owner is not None:
+            self._owner.materialize()
+        return self._entry
+
+    @entry.setter
+    def entry(self, entry: Optional[Entry]) -> None:
+        self._entry = entry
 
     def beats(self, d: int, l: int, parent: Optional[int]) -> bool:
         """Step 9 of Algorithm 1: does a new candidate ``(d, l, parent)``

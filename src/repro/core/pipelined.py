@@ -69,8 +69,25 @@ from .node_list import make_node_list
 INF = float("inf")
 
 
+class _ParkedList:
+    """``PipelinedSSPProgram.list_v`` while the list is parked as
+    kernel columns: a non-data descriptor, so the instance attribute
+    shadows it and the object loops' ``self.list_v`` never reaches it."""
+
+    def __get__(self, program, owner=None):
+        if program is None:
+            return self
+        program.materialize()
+        try:
+            return program.__dict__["list_v"]
+        except KeyError:
+            raise AttributeError("list_v") from None
+
+
 class PipelinedSSPProgram(Program):
     """Per-node state machine of Algorithm 1."""
+
+    list_v = _ParkedList()
 
     def __init__(self, v: int, sources: Sequence[int], h: int, gamma: float,
                  *, cutoff_round: Optional[int] = None,
@@ -264,48 +281,56 @@ class PipelinedSSPProgram(Program):
 
     # -- columnar bridge ---------------------------------------------------
     #
-    # The columnar bulk kernel (repro.perf.columnar_pipelined) lifts this
-    # program's state into flat columns at run() entry and writes it back
-    # at run() exit.  The bridge is exact: the rebuilt list, bests, and
-    # stats are indistinguishable from a per-message run, so outputs,
-    # resumption, checkpoints, and inspection all agree bit for bit.
+    # The columnar bulk kernel (repro.perf.columnar_pipelined) runs on
+    # flat columns.  At run() exit it writes ``best`` distances and the
+    # stats back, and leaves ``list_v`` parked as its columns: the list
+    # and each ``SourceBest.entry`` are rebuilt on first access, in
+    # place, exactly as a per-message run would have left them.  A
+    # re-entered kernel run takes the parked columns as they are.
 
-    def export_kernel_state(self) -> Dict[str, object]:
-        """Flatten the program state into the column dict the bulk
-        kernel consumes (see :func:`repro.core.node_list.export_entry_columns`
-        for the list layout)."""
-        keys, lcol, pcol, fcol, scol = \
-            _node_list.export_entry_columns(self.list_v)
-        return {
-            "keys": keys, "l": lcol, "parent": pcol, "flag": fcol,
-            "sent_at": scol,
-            "best": {x: (b.d, b.l, b.parent) for x, b in self.best.items()},
-            "max_list_len": self.max_list_len_seen,
-            "max_per_source": self.max_per_source_seen,
-            "last_sp_round": self.last_sp_update_round,
-            "sends": self.sends,
-        }
+    def park_kernel_columns(self, columns: Tuple) -> None:
+        """Replace ``list_v`` by bulk-kernel *columns* until first
+        access.  ``columns[:5]`` is the
+        :func:`repro.core.node_list.export_entry_columns` layout; the
+        rest is the kernel's own index over them, handed back by
+        :meth:`kernel_columns`."""
+        attrs = self.__dict__
+        parked = attrs.get("_parked")
+        if parked is None:
+            nl = attrs.pop("list_v")
+            for b in self.best.values():
+                b._owner = self
+                b._entry = None
+        else:
+            nl = parked[0]
+        attrs["_parked"] = (nl, columns)
 
-    def adopt_kernel_state(self, state: Dict[str, object]) -> None:
-        """Inverse of :meth:`export_kernel_state`: rebuild ``list_v`` in
-        place from the columns and re-wire each ``SourceBest`` to alias
-        the (unique) flagged entry of its source, preserving the object
-        identities checkpointing relies on."""
-        entries = _node_list.load_entry_columns(
-            self.list_v, state["keys"], state["l"],
-            state["parent"], state["flag"], state["sent_at"])
+    def kernel_columns(self) -> Optional[Tuple]:
+        """The parked columns, or ``None`` when ``list_v`` is current."""
+        parked = self.__dict__.get("_parked")
+        return None if parked is None else parked[1]
+
+    def materialize(self) -> None:
+        """Rebuild ``list_v`` (the same object, every index) and each
+        ``SourceBest.entry`` from parked columns; a no-op otherwise."""
+        parked = self.__dict__.pop("_parked", None)
+        if parked is None:
+            return
+        nl, columns = parked
+        entries = _node_list.load_entry_columns(nl, *columns[:5])
         flagged: Dict[int, Entry] = {}
         for e in entries:
             if e.flag_sp:
                 flagged[e.x] = e
-        for x, (d, l, parent) in state["best"].items():
-            b = self.best[x]
-            b.d, b.l, b.parent = d, l, parent
-            b.entry = flagged.get(x)
-        self.max_list_len_seen = state["max_list_len"]
-        self.max_per_source_seen = state["max_per_source"]
-        self.last_sp_update_round = state["last_sp_round"]
-        self.sends = state["sends"]
+        for x, b in self.best.items():
+            b._entry = flagged.get(x)
+            b._owner = None
+        self.list_v = nl
+
+    def __getstate__(self) -> Dict[str, object]:
+        # pickling and deep copies see the materialized list
+        self.materialize()
+        return self.__dict__
 
 
 @dataclass

@@ -43,10 +43,11 @@ Equality is pinned, not hoped for: ``tests/backend_conformance.py``
 drives every backend in :data:`repro.perf.backends.BACKENDS` through
 the differential harness (Hypothesis corpora, golden fixtures,
 instrumented digests, resumption, hook parity), and the engine
-*materializes* its columns back into the program objects at every
-``run()`` exit -- so ``outputs()``, resumption, checkpointing, and
-post-mortems read the exact state the reference execution would have
-left behind.
+hands its columns back to the program objects at every ``run()``
+exit -- the relaxation kernel materializes them, the pipelined kernel
+parks the node lists as columns that are rebuilt on first access -- so
+``outputs()``, resumption, checkpointing, and post-mortems read the
+exact state the reference execution would have left behind.
 
 Programs outside the vectorizable families -- and any run with a fault
 plan, monitor, or record window attached, or a traced relaxation run --
@@ -69,10 +70,14 @@ gate, paranoid mode) are re-checked at every entry.
 numpy is optional.  The bulk kernels have two interchangeable
 implementations -- vectorized numpy and a batched pure-Python fallback
 (no per-message objects either way) -- selected by the
-``REPRO_COLUMNAR_NUMPY`` feature flag (``auto`` when unset: use numpy
-iff importable; ``0`` forces the fallback, ``1`` requires numpy and
-raises if it is missing).  CI runs the conformance suite in a
-numpy-hidden job to keep the fallback honest.
+``REPRO_COLUMNAR_NUMPY`` feature flag (``0`` forces the fallback and
+``1`` requires numpy, raising if it is missing, both at every size).
+``auto`` (unset) uses numpy iff importable, except that the pipelined
+kernel also weighs the graph's size: below
+:data:`~repro.perf.columnar_pipelined.NUMPY_MIN_EDGES` CSR edges its
+pure-Python round is faster, and it records which one ran.  CI runs
+the tier-1 suite once with ``REPRO_COLUMNAR_NUMPY=1`` and once in a
+numpy-hidden job, so both implementations carry it.
 """
 
 from __future__ import annotations
@@ -111,13 +116,13 @@ def _numpy():
 _numpy_override: Optional[bool] = None
 
 
-def numpy_enabled() -> bool:
-    """Whether the bulk kernels use numpy for this process.
+def numpy_forced() -> Optional[bool]:
+    """The forced numpy setting, or ``None`` in auto mode.
 
     Resolution order: the :func:`set_numpy_enabled` override, then the
-    ``REPRO_COLUMNAR_NUMPY`` environment variable, then auto-detection.
-    Forcing ``1`` without numpy installed raises at the first columnar
-    run rather than silently degrading (the explicit-request rule).
+    ``REPRO_COLUMNAR_NUMPY`` environment variable.  Forcing ``1``
+    without numpy installed raises at the first columnar run rather
+    than silently degrading (the explicit-request rule).
     """
     if _numpy_override is not None:
         return _numpy_override
@@ -137,7 +142,17 @@ def numpy_enabled() -> bool:
         raise ValueError(
             f"REPRO_COLUMNAR_NUMPY: unknown value {env!r}; expected "
             f"auto, 0, or 1")
-    return _numpy() is not None
+    return None
+
+
+def numpy_enabled() -> bool:
+    """Whether numpy is available to the bulk kernels: the forced
+    setting (:func:`numpy_forced`), else whether numpy is importable.
+    The relaxation kernel uses numpy exactly then; the pipelined kernel
+    in auto mode also weighs the graph's size
+    (:data:`repro.perf.columnar_pipelined.NUMPY_MIN_EDGES`)."""
+    forced = numpy_forced()
+    return _numpy() is not None if forced is None else forced
 
 
 def set_numpy_enabled(enabled: Optional[bool]) -> Optional[bool]:
@@ -625,6 +640,7 @@ __all__ = [
     "CORRUPTION_MODES",
     "ColumnarNetwork",
     "numpy_enabled",
+    "numpy_forced",
     "set_corruption",
     "set_numpy_enabled",
 ]

@@ -25,19 +25,31 @@ On those columns:
 * **Step 2 (deliveries)** run through the CSR gather: one flat
   ``(src, dst, w)`` edge batch per round, candidate ``d' = d + w``,
   ``l' = l + 1`` and ``kappa' = d' * gamma + l'`` computed for the
-  whole batch (vectorized under numpy), per-edge message tallies
-  accumulated in flat counters -- no Envelope, payload tuple, or
-  Counter update per message;
+  whole batch (vectorized under numpy) -- no Envelope, payload tuple,
+  or Counter update per message.  A firing node broadcasts over its
+  whole CSR range, so the per-channel message counts follow from each
+  node's fire count at the end of the run;
 * **Steps 8-13 (insert_sp / eviction / nu-counting)** execute as
   scatter-min-style column passes: the flag-d* promotion is a bisect +
   column insert with the reference tie-break (equal-key demoted twin
   removed outright, else closest non-SP same-source entry above
   evicted when the Invariant 2 budget demands), the Step 13 quota gate
   is one per-source ``bisect_right``, and Invariant 1 is asserted per
-  insert with the reference's exact message.  Under numpy, arrivals
-  that the round-start state already shows Step 13 must reject are
-  dropped by a vectorized prefilter before the fold (see
+  insert with the reference's exact message.  Arrivals that the
+  round-start state already shows Step 13 must reject are dropped
+  before the fold -- by an O(1) check per message in the pure-Python
+  round, by a vectorized prefilter under numpy -- and the fold repeats
+  the O(1) check on the current state before the full Steps 8-13 (see
   :meth:`_PipelinedKernel._round_numpy` for why that is exact).
+
+Two round implementations share those columns: vectorized numpy and
+batched pure Python.  ``REPRO_COLUMNAR_NUMPY=0/1`` (or
+:func:`~repro.perf.columnar.set_numpy_enabled`) forces one at every
+size; in auto mode each run picks by the graph's CSR edge count
+(:data:`NUMPY_MIN_EDGES`), because a small graph's rounds carry too few
+messages to pay back numpy's per-call cost.  The kernel records its
+choice (:attr:`_PipelinedKernel.impl`, ``impl_reason``, and a
+``columnar.pipelined.impl`` registry counter per run).
 
 The **order** of arrivals within a round is semantic (the quota gate
 and the flag-d* tie-breaks read list state mutated by earlier arrivals
@@ -59,16 +71,26 @@ to the worklist loop (:meth:`~repro.perf.columnar.ColumnarNetwork._columnar_kern
 
 Exactness contract
 ------------------
-Same as the relaxation kernel: load / compute / store.  ``run()``
-flattens program state into columns
-(:meth:`~repro.core.pipelined.PipelinedSSPProgram.export_kernel_state`),
-executes rounds on them, and materializes them back
-(:meth:`~repro.core.pipelined.PipelinedSSPProgram.adopt_kernel_state`)
-in a ``finally`` -- so outputs, round numbers, resumption, checkpoints
-and post-mortems observe exactly the state the per-message backends
-would have produced, and ``tests/backend_conformance.py`` pins the
-equality differentially (including deliberate-corruption runs via the
-``send-rank-off-by-one`` / ``nu-off-by-one`` modes this module honors).
+Load / compute / store, with a lazy store.  ``run()`` flattens each
+program's ``list_v`` into columns
+(:func:`~repro.core.node_list.export_entry_columns`) and updates the
+programs' ``SourceBest`` objects in place.  In a ``finally`` it writes
+the stats (``max_list_len_seen``, ``max_per_source_seen``,
+``last_sp_update_round``, ``sends``) back and parks the columns on the
+program
+(:meth:`~repro.core.pipelined.PipelinedSSPProgram.park_kernel_columns`):
+``list_v`` and each ``SourceBest.entry`` are rebuilt, in place, on
+first access -- by the object loop, a monitor,
+:func:`~repro.analysis.inspect.send_history`, a checkpoint's
+``capture_state``, a pickle or a deep copy -- and a re-entered run
+takes the parked columns as they are.  Outputs read only ``best``, so
+a plain solve never builds a list.  Outputs, round numbers,
+resumption, checkpoints and post-mortems observe exactly the state the
+per-message backends would have produced; ``tests/backend_conformance.py``
+pins the equality differentially (including deliberate-corruption runs
+via the ``send-rank-off-by-one`` / ``nu-off-by-one`` modes this module
+honors) and ``tests/test_columnar_lazy.py`` pins every way of reading a
+parked program.
 
 Keys are recomputed from ``(d, l)`` with the same arithmetic as
 :func:`repro.core.keys.key_of` -- a multiply-add, or the exact
@@ -86,6 +108,7 @@ from time import perf_counter as _perf
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..congest.events import TraceEvent as _TE
+from ..core import node_list as _node_list
 from ..core.keys import RationalGamma, key_of, next_send_after
 from ..obs.profiling import HOT as _HOT
 from .fast_network import RoundLimitExceeded
@@ -96,6 +119,12 @@ _Key = Tuple[float, int, int]
 #: Words per pipelined payload ``(d, l, x, flag_sp, nu)`` -- five
 #: scalars (repro.congest.message.payload_words).
 _PAYLOAD_WORDS = 5
+
+#: Auto mode's crossover: graphs with at least this many CSR edges run
+#: the numpy round, smaller ones the pure-Python round (which carries
+#: too few messages per round to pay back numpy's per-call cost).
+#: A forced gate (``REPRO_COLUMNAR_NUMPY=0/1``) wins at every size.
+NUMPY_MIN_EDGES = 1024
 
 #: ``TraceEvent`` construction without the keyword-handling ``__new__``
 #: (traced rounds build one per send, message and insert).
@@ -230,23 +259,44 @@ class _PipelinedKernel:
         self._weights = weights
         self._wok = wok
         self._all_wok = all(wok)
-        #: Per-CSR-edge message tallies, flushed to the RunMetrics
-        #: Counter once per run.
-        self._edge_msgs = [0] * len(heads)
+        #: The pure-Python round's view of the CSR: per node, its
+        #: ``(head, weight)`` pairs, weight ``None`` where wok is False.
+        self._adj = [[(heads[e], weights[e] if wok[e] else None)
+                      for e in range(indptr[v], indptr[v + 1])]
+                     for v in range(self.n)]
         self._use_np = False
         self._np_ready = False
         self._sync_impl()
 
     def _sync_impl(self) -> None:
-        """Re-resolve the numpy feature gate; lazily build the numpy
-        CSR mirrors (see _RelaxationKernel._sync_impl)."""
-        self._use_np = _cmod.numpy_enabled()
+        """Pick the round implementation for the next run (recorded in
+        :attr:`impl` and :attr:`impl_reason`); lazily build the numpy
+        CSR mirrors (see _RelaxationKernel._sync_impl).
+
+        A forced gate (:func:`~repro.perf.columnar.set_numpy_enabled`,
+        ``REPRO_COLUMNAR_NUMPY=0/1``) wins at every size.  In auto mode
+        the graph's size decides: numpy's per-call cost is paid back
+        only from about :data:`NUMPY_MIN_EDGES` CSR edges on, below
+        which the pure-Python round is faster."""
+        forced = _cmod.numpy_forced()
+        m = len(self._heads)
+        if forced is not None:
+            self._use_np = forced
+            self.impl_reason = "forced"
+        elif _cmod._numpy() is None:
+            self._use_np = False
+            self.impl_reason = "numpy is not importable"
+        else:
+            self._use_np = m >= NUMPY_MIN_EDGES
+            self.impl_reason = (
+                f"auto: {m} edges {'>=' if self._use_np else '<'} "
+                f"{NUMPY_MIN_EDGES}")
+        self.impl = "numpy" if self._use_np else "python"
         if self._use_np and not self._np_ready:
             np = _cmod._numpy()
             self._np_indptr = np.asarray(self._indptr, dtype=np.int64)
             self._np_heads = np.asarray(self._heads, dtype=np.int64)
             self._np_weights = np.asarray(self._weights, dtype=np.int64)
-            self._np_edge_msgs = np.zeros(len(self._heads), dtype=np.int64)
             self._np_wok = np.asarray(self._wok, dtype=bool)
             xi = np.zeros(self.n, dtype=np.int64)
             for x, i in self._xi.items():
@@ -258,9 +308,13 @@ class _PipelinedKernel:
 
     def _load(self) -> None:
         """Program state -> columns (see the module docstring for the
-        layout).  Per-source key/flag subsequences and the
-        count-of-counts histogram are derived from the flat columns, so
-        the load is exact for both list kernels."""
+        layout).  A program parked by an earlier run hands its columns
+        back as they are; otherwise ``list_v`` is exported and the
+        per-source key/flag subsequences and the count-of-counts
+        histogram are derived from the flat columns, so the load is
+        exact for both list kernels.  ``BEST`` is each program's own
+        ``best`` map: the kernel updates its ``SourceBest`` objects in
+        place."""
         n = self.n
         self.KEYS: List[List[_Key]] = [None] * n
         self.LCOL: List[List[int]] = [None] * n
@@ -271,47 +325,27 @@ class _PipelinedKernel:
         self.SFLAGS: List[Dict[int, List[bool]]] = [None] * n
         self.CFREQ: List[Dict[int, int]] = [None] * n
         self.CMAX: List[int] = [0] * n
-        self.BEST: List[Dict[int, list]] = [None] * n
+        self.BEST: List[Dict[int, Any]] = [None] * n
         self.MAXLEN: List[int] = [0] * n
         self.MAXSRC: List[int] = [0] * n
         self.LASTSP: List[int] = [0] * n
         self.SENDS: List[int] = [0] * n
         for v, p in enumerate(self.net.programs):
-            st = p.export_kernel_state()
-            keys = st["keys"]
-            flags = st["flag"]
-            self.KEYS[v] = keys
-            self.LCOL[v] = st["l"]
-            self.PCOL[v] = st["parent"]
-            self.FCOL[v] = flags
-            self.SCOL[v] = st["sent_at"]
-            skeys: Dict[int, List[_Key]] = {}
-            sflags: Dict[int, List[bool]] = {}
-            for i, key in enumerate(keys):
-                x = key[2]
-                sk = skeys.get(x)
-                if sk is None:
-                    sk = skeys[x] = []
-                    sflags[x] = []
-                sk.append(key)
-                sflags[x].append(flags[i])
-            freq: Dict[int, int] = {}
-            top = 0
-            for sk in skeys.values():
-                c = len(sk)
-                freq[c] = freq.get(c, 0) + 1
-                if c > top:
-                    top = c
-            self.SKEYS[v] = skeys
-            self.SFLAGS[v] = sflags
-            self.CFREQ[v] = freq
-            self.CMAX[v] = top
-            self.BEST[v] = {x: [d, l, par]
-                            for x, (d, l, par) in st["best"].items()}
-            self.MAXLEN[v] = st["max_list_len"]
-            self.MAXSRC[v] = st["max_per_source"]
-            self.LASTSP[v] = st["last_sp_round"]
-            self.SENDS[v] = st["sends"]
+            cols = p.kernel_columns()
+            if cols is None:
+                cols = self._columns_of(p.list_v)
+            (self.KEYS[v], self.LCOL[v], self.PCOL[v], self.FCOL[v],
+             self.SCOL[v], self.SKEYS[v], self.SFLAGS[v], self.CFREQ[v],
+             self.CMAX[v]) = cols
+            self.BEST[v] = p.best
+            self.MAXLEN[v] = p.max_list_len_seen
+            self.MAXSRC[v] = p.max_per_source_seen
+            self.LASTSP[v] = p.last_sp_update_round
+            self.SENDS[v] = p.sends
+        #: Each node's ``sends`` at the last flush: a firing node
+        #: broadcasts over its whole CSR range, so the fires since then
+        #: are the messages on each of its channels (see _flush).
+        self._flushed_sends = list(self.SENDS)
         if self._use_np:
             # The numpy round's prefilter state, one cell per (node v,
             # source index i) at v * k + i: the best distance, the entry
@@ -322,7 +356,7 @@ class _PipelinedKernel:
             for v in range(n):
                 best_v, skeys_v = self.BEST[v], self.SKEYS[v]
                 for x in self.sources:
-                    best_d.append(best_v[x][0])
+                    best_d.append(best_v[x].d)
                     sk = skeys_v.get(x)
                     count.append(len(sk) if sk else 0)
                     tail_k.append(sk[-1][0] if sk else _INF)
@@ -331,25 +365,51 @@ class _PipelinedKernel:
             self._np_count = np.array(count, dtype=np.int64)
             self._np_tail_k = np.array(tail_k, dtype=np.float64)
 
+    @staticmethod
+    def _columns_of(nl) -> tuple:
+        """One node's column tuple from its list: the
+        :func:`~repro.core.node_list.export_entry_columns` layout, then
+        the per-source keys and flags, the count-of-counts histogram and
+        its maximum."""
+        keys, lcol, pcol, flags, scol = _node_list.export_entry_columns(nl)
+        skeys: Dict[int, List[_Key]] = {}
+        sflags: Dict[int, List[bool]] = {}
+        for i, key in enumerate(keys):
+            x = key[2]
+            sk = skeys.get(x)
+            if sk is None:
+                sk = skeys[x] = []
+                sflags[x] = []
+            sk.append(key)
+            sflags[x].append(flags[i])
+        freq: Dict[int, int] = {}
+        top = 0
+        for sk in skeys.values():
+            c = len(sk)
+            freq[c] = freq.get(c, 0) + 1
+            if c > top:
+                top = c
+        return keys, lcol, pcol, flags, scol, skeys, sflags, freq, top
+
     def _store(self) -> None:
-        """Columns -> program state (in place, preserving the object
-        identities resumption and checkpoints rely on)."""
+        """Columns -> program state: the stats eagerly, the list parked
+        as columns until first access
+        (:meth:`~repro.core.pipelined.PipelinedSSPProgram.park_kernel_columns`).
+        The ``best`` distances are already in place."""
         for v, p in enumerate(self.net.programs):
-            p.adopt_kernel_state({
-                "keys": self.KEYS[v], "l": self.LCOL[v],
-                "parent": self.PCOL[v], "flag": self.FCOL[v],
-                "sent_at": self.SCOL[v],
-                "best": {x: (b[0], b[1], b[2])
-                         for x, b in self.BEST[v].items()},
-                "max_list_len": self.MAXLEN[v],
-                "max_per_source": self.MAXSRC[v],
-                "last_sp_round": self.LASTSP[v],
-                "sends": self.SENDS[v],
-            })
+            p.max_list_len_seen = self.MAXLEN[v]
+            p.max_per_source_seen = self.MAXSRC[v]
+            p.last_sp_update_round = self.LASTSP[v]
+            p.sends = self.SENDS[v]
+            p.park_kernel_columns((
+                self.KEYS[v], self.LCOL[v], self.PCOL[v], self.FCOL[v],
+                self.SCOL[v], self.SKEYS[v], self.SFLAGS[v], self.CFREQ[v],
+                self.CMAX[v]))
 
     def _flush(self, msg_count: int, words_total: int) -> None:
-        """Bulk-accumulated accounting -> RunMetrics (idempotent: the
-        per-edge tallies are zeroed as they are drained)."""
+        """Bulk-accumulated accounting -> RunMetrics (idempotent).  A
+        firing node broadcasts over its whole CSR range, so each of its
+        channels carried one message per fire since the last flush."""
         metrics = self.net.metrics
         if msg_count:
             metrics.messages += msg_count
@@ -359,25 +419,14 @@ class _PipelinedKernel:
         heads = self._heads
         indptr = self._indptr
         chmsg = metrics.channel_messages
-        if self._use_np:
-            np = _cmod._numpy()
-            counts = self._np_edge_msgs
-            (nz,) = np.nonzero(counts)
-            if len(nz):
-                srcs = np.searchsorted(self._np_indptr, nz, side="right") - 1
-                for e, u, c in zip(nz.tolist(), srcs.tolist(),
-                                   counts[nz].tolist()):
-                    chmsg[(u, heads[e])] += c
-                counts[nz] = 0
-        else:
-            counts = self._edge_msgs
-            u = 0
-            for e, c in enumerate(counts):
-                if c:
-                    while indptr[u + 1] <= e:
-                        u += 1
-                    chmsg[(u, heads[e])] += c
-                    counts[e] = 0
+        sends = self.SENDS
+        flushed = self._flushed_sends
+        for v in range(self.n):
+            fires = sends[v] - flushed[v]
+            if fires:
+                flushed[v] = sends[v]
+                for u in heads[indptr[v]:indptr[v + 1]]:
+                    chmsg[(v, u)] += fires
 
     # -- count-of-counts histogram (mirrors NodeList._link/_unlink) --------
 
@@ -446,13 +495,14 @@ class _PipelinedKernel:
                 p.on_start(contexts[v])
             net._started = True
 
+        if registry is not None:
+            registry.counter("columnar.pipelined.impl", impl=self.impl).inc()
         self._load()
         n = self.n
         KEYS = self.KEYS
         SENDS = self.SENDS
         SKEYS = self.SKEYS
         LCOL = self.LCOL
-        FCOL = self.FCOL
         SCOL = self.SCOL
         node_sends = metrics.node_sends
         indptr = self._indptr
@@ -520,7 +570,6 @@ class _PipelinedKernel:
                 send_d: List[int] = []
                 send_l: List[int] = []
                 send_x: List[int] = []
-                send_f: List[bool] = []
                 send_nu: List[int] = []
                 while heap and heap[0][0] == r:
                     _, v = heappop(heap)
@@ -539,7 +588,6 @@ class _PipelinedKernel:
                     l_v = LCOL[v][i]
                     send_l.append(l_v)
                     send_x.append(x)
-                    send_f.append(FCOL[v][i])
                     send_nu.append(nu)
                     SENDS[v] += 1
                     if record:
@@ -560,7 +608,7 @@ class _PipelinedKernel:
                 # Steps 2-13: expand deliveries through the CSR, fold
                 # per-destination candidates in ascending-source order.
                 total, receivers, changed = round_fn(
-                    r, senders, send_d, send_l, send_x, send_f, send_nu)
+                    r, senders, send_d, send_l, send_x, send_nu)
 
                 if total:
                     msg_count += total
@@ -576,21 +624,27 @@ class _PipelinedKernel:
                 # the receivers whose lists changed.  A receiver whose
                 # arrivals were all rejected keeps its schedule: its
                 # positions did not move, and it did not fire this
-                # round, so its next fire is still sched[v].  The
-                # bisection is _next_fire inlined -- this is the
-                # hottest loop after the arrival fold itself.
+                # round, so its next fire is still sched[v].  A sender
+                # whose list did not change needs no search either: the
+                # schedule is strictly increasing, so the entry after
+                # the one that fired is next.  The others take the
+                # bisection of _next_fire, inlined.
+                moved = set(changed)
                 touched = dict.fromkeys(senders)
                 touched.update(dict.fromkeys(changed))
                 for v in touched:
                     keys_v = KEYS[v]
                     nk = len(keys_v)
-                    lo, hi = 0, nk
-                    while lo < hi:
-                        mid = (lo + hi) >> 1
-                        if ceil(keys_v[mid][0] + mid + pos_off) <= r:
-                            lo = mid + 1
-                        else:
-                            hi = mid
+                    if v in moved:
+                        lo, hi = 0, nk
+                        while lo < hi:
+                            mid = (lo + hi) >> 1
+                            if ceil(keys_v[mid][0] + mid + pos_off) <= r:
+                                lo = mid + 1
+                            else:
+                                hi = mid
+                    else:
+                        lo = firei[v] + 1
                     if lo == nk:
                         nr = None
                     else:
@@ -636,81 +690,91 @@ class _PipelinedKernel:
 
     # -- one round: delivery expansion -------------------------------------
 
-    def _round_python(self, r, senders, send_d, send_l, send_x, send_f,
-                      send_nu):
+    def _round_python(self, r, senders, send_d, send_l, send_x, send_nu):
         """CSR expansion + per-destination fold, batched pure Python (no
-        Envelope or payload objects; per-edge tallies into the flat
-        counter).  Returns ``(messages_sent, receivers, changed)``:
-        *receivers* ascending, and *changed* the receivers whose list an
-        arrival altered."""
-        indptr, heads, weights = self._indptr, self._heads, self._weights
-        wok = self._wok
-        edge_msgs = self._edge_msgs
+        Envelope or payload objects).  Returns ``(messages_sent,
+        receivers, changed)``: *receivers* ascending, and *changed* the
+        receivers whose list an arrival altered.
+
+        Most arrivals are Step 13 rejections, and they are dropped at
+        expansion by the O(1) quota check on the round-start state,
+        which is exact for the reason :meth:`_round_numpy` gives."""
+        adj = self._adj
         gamma = self.gamma
         ratio = self.ratio
         if ratio is not None:
             num, den = ratio
+        BEST, SKEYS = self.BEST, self.SKEYS
         total = 0
         inboxes: Dict[int, list] = {}
         for si, v in enumerate(senders):
-            lo, hi = indptr[v], indptr[v + 1]
-            if lo == hi:
+            out = adj[v]
+            if not out:
                 continue
-            total += hi - lo
+            total += len(out)
             d_in = send_d[si]
-            l_in = send_l[si]
             x = send_x[si]
             nu_in = send_nu[si]
-            l_cand = l_in + 1
-            for e in range(lo, hi):
-                edge_msgs[e] += 1
-                if not wok[e]:
+            l_cand = send_l[si] + 1
+            for u, w in out:
+                box = inboxes.get(u)
+                if box is None:
+                    # every receiver runs its round epilogue, even one
+                    # whose arrivals are all dropped
+                    box = inboxes[u] = []
+                if w is None:
                     # channel exists only for the reverse edge: message
-                    # delivered and counted, nothing to relax -- but the
-                    # receiver still runs its round hooks (stats,
-                    # reschedule), so it must appear in the inbox map.
-                    u = heads[e]
-                    if u not in inboxes:
-                        inboxes[u] = []
+                    # delivered and counted, nothing to relax
                     continue
-                d_cand = d_in + weights[e]
-                u = heads[e]
+                d_cand = d_in + w
                 # keys.key_of, inlined
                 kappa = (d_cand * gamma + l_cand if ratio is None
                          else (d_cand * num + l_cand * den) / den)
-                rec = (v, d_cand, l_cand, kappa, x, nu_in)
-                box = inboxes.get(u)
-                if box is None:
-                    inboxes[u] = [rec]
-                else:
-                    box.append(rec)
+                if d_cand > BEST[u][x].d:
+                    # Cannot take flag-d*, so Step 13's quota gate
+                    # decides: at least nu_in same-source keys are at or
+                    # below the key iff the nu_in-th one is (its kappa
+                    # alone decides unless it ties).
+                    sk = SKEYS[u].get(x)
+                    if sk is not None and len(sk) >= nu_in:
+                        t = sk[nu_in - 1]
+                        if t[0] < kappa or (t[0] == kappa
+                                            and t <= (kappa, d_cand, x)):
+                            continue
+                box.append((v, d_cand, l_cand, kappa, x, nu_in))
         receivers = sorted(inboxes)
         changed: List[int] = []
         arrival = self._arrival
-        BEST, SKEYS = self.BEST, self.SKEYS
+        KEYS, CMAX = self.KEYS, self.CMAX
+        MAXLEN, MAXSRC = self.MAXLEN, self.MAXSRC
         for u in receivers:
-            best_u = BEST[u]
-            skeys_u = SKEYS[u]
-            dirty = False
-            for (y, d, l, kappa, x, nu_in) in inboxes[u]:
-                if d > best_u[x][0]:
-                    # Cannot take flag-d*, so Step 13's quota gate
-                    # decides, inlined because it rejects most arrivals
-                    # untouched: at least nu_in same-source keys are at
-                    # or below the key iff the nu_in-th one is.
-                    sk = skeys_u.get(x)
-                    if sk is not None and len(sk) >= nu_in \
-                            and sk[nu_in - 1] <= (kappa, d, x):
-                        continue
-                if arrival(u, r, y, d, l, kappa, x, nu_in):
-                    dirty = True
-            if dirty:
-                changed.append(u)
-            self._finish_receiver(u)
+            box = inboxes[u]
+            if box:
+                best_u = BEST[u]
+                skeys_u = SKEYS[u]
+                dirty = False
+                for (y, d, l, kappa, x, nu_in) in box:
+                    if d > best_u[x].d:
+                        # the same check: an earlier arrival of this
+                        # round may have filled the quota
+                        sk = skeys_u.get(x)
+                        if sk is not None and len(sk) >= nu_in \
+                                and sk[nu_in - 1] <= (kappa, d, x):
+                            continue
+                    if arrival(u, r, y, d, l, kappa, x, nu_in):
+                        dirty = True
+                if dirty:
+                    changed.append(u)
+            # the per-receiver stats the reference updates at the end
+            # of every on_receive
+            ln = len(KEYS[u])
+            if ln > MAXLEN[u]:
+                MAXLEN[u] = ln
+            if CMAX[u] > MAXSRC[u]:
+                MAXSRC[u] = CMAX[u]
         return total, receivers, changed
 
-    def _round_numpy(self, r, senders, send_d, send_l, send_x, send_f,
-                     send_nu):
+    def _round_numpy(self, r, senders, send_d, send_l, send_x, send_nu):
         """The vectorized expansion: one CSR gather for the round's
         whole edge batch, candidate ``(d', l', kappa')`` as three vector
         ops, a vectorized prefilter that drops the arrivals Step 13
@@ -740,7 +804,6 @@ class _PipelinedKernel:
             ([0], np.cumsum(counts)[:-1])), counts)
         edges = np.arange(total, dtype=np.int64) + offs
         dsts = self._np_heads[edges]
-        self._np_edge_msgs[edges] += 1
         # Per-message sender-slot index (into the send_* columns).
         slots = np.repeat(np.arange(len(senders), dtype=np.int64), counts)
         cand_d = np.asarray(send_d, dtype=np.int64)[slots] \
@@ -773,8 +836,9 @@ class _PipelinedKernel:
         f_l = cand_l[fold].tolist()
         f_k = kappa[fold].tolist()
         arrival = self._arrival
-        finish = self._finish_receiver
         BEST, SKEYS = self.BEST, self.SKEYS
+        KEYS, CMAX = self.KEYS, self.CMAX
+        MAXLEN, MAXSRC = self.MAXLEN, self.MAXSRC
         xi = self._xi
         best_d = self._np_best_d
         count = self._np_count
@@ -784,22 +848,39 @@ class _PipelinedKernel:
         n_fold = len(f_dst)
         for u in receivers:
             dirty = False
+            best_u = BEST[u]
+            skeys_u = SKEYS[u]
             while t < n_fold and f_dst[t] == u:
                 si = f_slot[t]
                 x = send_x[si]
-                if arrival(u, r, senders[si], f_d[t], f_l[t], f_k[t], x,
-                           send_nu[si]):
+                d = f_d[t]
+                l = f_l[t]
+                kappa = f_k[t]
+                nu_in = send_nu[si]
+                t += 1
+                b = best_u[x]
+                if d > b.d:
+                    # the exact O(1) quota check of _round_python: the
+                    # prefilter read the round-start state only
+                    sk = skeys_u.get(x)
+                    if sk is not None and len(sk) >= nu_in \
+                            and sk[nu_in - 1] <= (kappa, d, x):
+                        continue
+                if arrival(u, r, senders[si], d, l, kappa, x, nu_in):
                     # keep the prefilter's cell current for later rounds
                     dirty = True
                     c = u * k + xi[x]
-                    sk = SKEYS[u][x]
-                    best_d[c] = BEST[u][x][0]
+                    sk = skeys_u[x]
+                    best_d[c] = b.d
                     count[c] = len(sk)
                     tail_k[c] = sk[-1][0]
-                t += 1
             if dirty:
                 changed.append(u)
-            finish(u)
+            ln = len(KEYS[u])  # the round epilogue, as in _round_python
+            if ln > MAXLEN[u]:
+                MAXLEN[u] = ln
+            if CMAX[u] > MAXSRC[u]:
+                MAXSRC[u] = CMAX[u]
         return total, receivers, changed
 
     # -- one arrival (Steps 8-13 on the columns) ---------------------------
@@ -811,8 +892,8 @@ class _PipelinedKernel:
         of Entry objects.  Returns whether the list changed (False:
         the quota gate rejected the candidate)."""
         b = self.BEST[v][x]
-        bd = b[0]
-        bl = b[1]
+        bd = b.d
+        bl = b.l
         promote = False
         if d < bd:
             promote = True
@@ -820,7 +901,7 @@ class _PipelinedKernel:
             if l < bl:
                 promote = True
             elif l == bl:
-                bp = b[2]
+                bp = b.parent
                 promote = y < (-1 if bp is None else bp)
         key = (kappa, d, x)
         skeys = self.SKEYS[v]
@@ -891,9 +972,9 @@ class _PipelinedKernel:
                     bud = 0 if self.budget is None else self.budget
                     if len(sk) > bud:
                         self._evict_above(v, x, j)
-            b[0] = d
-            b[1] = l
-            b[2] = y
+            b.d = d
+            b.l = l
+            b.parent = y
             if l <= self.h:
                 self.LASTSP[v] = r
             ev = self._pev
@@ -966,16 +1047,6 @@ class _PipelinedKernel:
             f"inserted Entry(k={kappa:.3f}, d={d}, l={l}, "
             f"x={x}{star}, p={parent}) at pos {pos} "
             f"with ceil(kappa+pos)={_ceil(kappa + pos)}")
-
-    def _finish_receiver(self, v: int) -> None:
-        """Per-receiver round epilogue: the O(1) stats the reference
-        updates at the end of every ``on_receive``."""
-        ln = len(self.KEYS[v])
-        if ln > self.MAXLEN[v]:
-            self.MAXLEN[v] = ln
-        cm = self.CMAX[v]
-        if cm > self.MAXSRC[v]:
-            self.MAXSRC[v] = cm
 
 
 # Self-registration (see the note at the end of repro/perf/columnar.py).

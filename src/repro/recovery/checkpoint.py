@@ -47,8 +47,10 @@ from ..congest.message import Envelope
 from ..congest.metrics import RunMetrics
 
 #: Bump on any incompatible change to the serialized layout; ``load``
-#: refuses a mismatched version instead of misreading it.
-CHECKPOINT_VERSION = 1
+#: refuses a mismatched version instead of misreading it.  Version 2:
+#: Algorithm 1's ``SourceBest`` keeps its flagged entry in ``_entry``
+#: (the pickled node states of version 1 do not restore).
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -70,6 +72,12 @@ def capture_state(program: Any) -> Tuple[str, Any]:
     method = getattr(program, "snapshot_state", None)
     if callable(method):
         return ("custom", method())
+    # State a bulk kernel left as columns (the pipelined program's
+    # parked list) is rebuilt first, so the snapshot is the same as
+    # after a per-message run.
+    materialize = getattr(program, "materialize", None)
+    if callable(materialize):
+        materialize()
     try:
         attrs = vars(program)
     except TypeError:

@@ -628,7 +628,14 @@ def observe_traced_pipelined(g, sources, h, backend, *, max_events,
                 break
         sp.set(rounds=net.metrics.rounds)
     snap = registry.snapshot()
+    # Which round implementation ran is engine attribution, recorded
+    # only by the pipelined kernel; assert_traced_pipelined_equivalent
+    # checks it on its own.
+    counters = dict(snap["counters"])
+    impl_runs = {name: counters.pop(name) for name in list(counters)
+                 if name.startswith("columnar.pipelined.impl")}
     return {
+        "impl_runs": impl_runs,
         "legs": legs,
         "events": [tuple(e) for e in tracer.events],
         "event_spans": list(tracer._event_spans),
@@ -640,7 +647,7 @@ def observe_traced_pipelined(g, sources, h, backend, *, max_events,
         "send_history": [send_history(p) for p in net.programs],
         "outputs": net.outputs(),
         "metrics": metrics_summary(net.metrics),
-        "registry": (snap["counters"], snap["gauges"],
+        "registry": (counters, snap["gauges"],
                      {name: hist["count"]
                       for name, hist in snap["histograms"].items()}),
     }
@@ -651,6 +658,7 @@ def assert_traced_pipelined_equivalent(g, sources, h, backend, **kwargs):
     *backend* -- the columnar one under each bulk implementation -- must
     agree on every observation.  Returns the reference observation."""
     ref = observe_traced_pipelined(g, sources, h, "reference", **kwargs)
+    assert ref.pop("impl_runs") == {}
     impls = [None]
     if backend == "columnar":
         impls = [False] + ([True] if columnar_mod._numpy() is not None
@@ -661,6 +669,11 @@ def assert_traced_pipelined_equivalent(g, sources, h, backend, **kwargs):
             got = observe_traced_pipelined(g, sources, h, backend, **kwargs)
         finally:
             columnar_mod.set_numpy_enabled(prev)
+        # every leg on the kernel, each with the forced implementation
+        want_impl = ({} if backend != "columnar" else {
+            f"columnar.pipelined.impl{{impl={'numpy' if use_np else 'python'}}}":
+            len(got["legs"])})
+        assert got.pop("impl_runs") == want_impl
         for key, want in ref.items():
             assert got[key] == want, (
                 f"{backend} backend diverged from reference on traced "
