@@ -1,7 +1,7 @@
 """E23 -- wall-clock speedup of the columnar bulk-synchronous backend.
 
 The sweep (repro.analysis.sweep.sweep_columnar) times single-source
-Bellman-Ford on random-weight grid graphs on the fast backend and the
+Bellman-Ford on random-weight grid graphs on the object loop and the
 columnar backend -- the message-volume-dominated regime the columnar
 engine's bulk array rounds target -- and differentially re-checks every
 timed pair (distances, hops, parents, rounds, messages, words,
@@ -17,7 +17,7 @@ Two entry points:
 * ``python benchmarks/bench_columnar.py --min-speedup 2.0``, the CI
   gate: persists the measurements into the BenchStore
   (``BENCH_columnar.json``) and exits non-zero if the numpy (or, absent
-  numpy, pure-Python) speedup over the fast backend at the largest size
+  numpy, pure-Python) speedup over the object loop at the largest size
   is below the threshold.  CI runs it in the bench-smoke job.
 """
 
@@ -50,7 +50,7 @@ def test_columnar_speedup(benchmark, report_sink):
     # busy dev machine cannot flake the suite.
     largest = _largest(rep, _primary_impl(rep))
     assert largest.measured > 1.0, (
-        f"columnar backend slower than fast at n={largest.params['n']} "
+        f"columnar backend slower than the object loop at n={largest.params['n']} "
         f"(impl={largest.params['impl']}): {largest.measured}x")
 
 
@@ -63,7 +63,7 @@ def main(argv=None) -> int:
                     help="best-of-N timing repeats per backend")
     ap.add_argument("--min-speedup", type=float, default=2.0,
                     help="fail (exit 1) if the primary-implementation "
-                         "speedup over the fast backend at the largest "
+                         "speedup over the object loop at the largest "
                          "size is below this")
     ap.add_argument("--store", default=str(Path(__file__).parent),
                     help="BenchStore directory for the persisted record")

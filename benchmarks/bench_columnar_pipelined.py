@@ -2,7 +2,7 @@
 
 The sweep (repro.analysis.sweep.sweep_columnar_pipelined) times the
 paper's actual algorithm -- ``run_hk_ssp`` on dense directed random
-graphs with spread sources -- on the fast backend and on the columnar
+graphs with spread sources -- on the object loop and on the columnar
 backend's pipelined bulk kernel (repro.perf.columnar_pipelined), and
 differentially re-checks every timed pair (distances, source set,
 Delta, rounds, messages, words, per-channel and per-node counters), so
@@ -16,9 +16,9 @@ Two entry points:
 * ``python benchmarks/bench_columnar_pipelined.py --min-speedup 2.0``,
   the CI gate: persists the measurements into the BenchStore
   (``BENCH_columnar_pipelined.json``) and exits non-zero if the numpy
-  (or, absent numpy, pure-Python) speedup over the fast backend at the
+  (or, absent numpy, pure-Python) speedup over the object loop at the
   largest size is below the threshold, **or** if the pure-Python
-  fallback is not itself faster than the fast backend (the fallback
+  fallback is not itself faster than the object loop (the fallback
   ships the same bulk semantics without numpy and must never rot into
   a slowdown).  CI runs it in the bench-smoke job.
 """
@@ -54,7 +54,7 @@ def test_columnar_pipelined_speedup(benchmark, report_sink):
     # pin the direction so a busy dev machine cannot flake the suite.
     largest = _largest(rep, _primary_impl(rep))
     assert largest.measured > 1.0, (
-        f"columnar pipelined kernel slower than fast at "
+        f"columnar pipelined kernel slower than the object loop at "
         f"n={largest.params['n']} (impl={largest.params['impl']}): "
         f"{largest.measured}x")
 
@@ -70,7 +70,7 @@ def main(argv=None) -> int:
                     help="best-of-N timing repeats per backend")
     ap.add_argument("--min-speedup", type=float, default=2.0,
                     help="fail (exit 1) if the primary-implementation "
-                         "speedup over the fast backend at the largest "
+                         "speedup over the object loop at the largest "
                          "size is below this")
     ap.add_argument("--min-fallback", type=float, default=1.0,
                     help="fail (exit 1) if the pure-Python fallback "
@@ -103,7 +103,7 @@ def main(argv=None) -> int:
           f"n={largest.params['n']}")
     # Unlike E23, the fallback is gated, not informational: the
     # acceptance contract is that the pure-Python bulk path also beats
-    # the fast backend, so numpy can never become load-bearing.
+    # the object loop, so numpy can never become load-bearing.
     fallback = _largest(rep, "python")
     if impl != "python" and fallback is not None:
         if fallback.measured <= args.min_fallback:

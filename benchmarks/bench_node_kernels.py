@@ -4,10 +4,10 @@ The sweep (repro.analysis.sweep.sweep_node_kernels) times Algorithm 1
 with k sources spread on a weighted path -- the long-list regime where
 node-side work (fire_at/next_fire_after scans, per-source counts)
 dominates -- once with the indexed NodeList kernels and once with the
-naive linear-scan ReferenceNodeList, both on the fast backend, and
+naive linear-scan ReferenceNodeList, both on the object loop, and
 differentially re-checks every timed pair, so a "speedup" can never
-hide the kernels computing different things.  The measured gap is on
-top of E19's fast-backend speedup (both arms use it).
+hide the kernels computing different things.  Both arms share the
+object loop, so the measured gap is the kernels alone.
 
 Two entry points:
 

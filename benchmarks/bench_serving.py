@@ -3,11 +3,11 @@
 The sweep (repro.analysis.sweep.sweep_serving) replays a seeded Zipf
 query workload against a :class:`repro.serve.DistanceOracle` (per-
 source-partition RoutingTable shards materialized by the k-source
-pipeline on the fast backend) and measures the batched+cached
+pipeline on the object loop) and measures the batched+cached
 steady-state serving throughput against the naive one-table-walk-per-
 query baseline, with the batched answers always asserted identical to
 the naive ones.  A ``build`` row per size times the same shard
-materialization on the fast backend vs ``backend="columnar"`` (the
+materialization on the object loop vs ``backend="columnar"`` (the
 pipelined bulk kernel), with the served-table digests asserted
 bit-equal.  Alongside the timed rows it exercises an incremental
 refresh (minimum-weight edge deleted; only affected sources recomputed,
@@ -54,7 +54,7 @@ def _structural_failures(rep):
                        f"diverge from the naive baseline")
         if row == "build" and m.extra.get("tables_match") != 1:
             bad.append(f"build n={m.params['n']}: columnar shard build "
-                       f"diverges from the fast backend")
+                       f"diverges from the object loop")
         if row == "refresh":
             if m.extra.get("correct") != 1:
                 bad.append(f"refresh n={m.params['n']}: served distances "
@@ -125,7 +125,7 @@ def main(argv=None) -> int:
     build_note = ""
     if builds:
         b = max(builds, key=lambda m: m.params["n"])
-        build_note = (f"; columnar shard build {b.measured}x fast "
+        build_note = (f"; columnar shard build {b.measured}x the object loop "
                       f"at n={b.params['n']}")
     print(f"OK: {largest.measured}x at n={largest.params['n']} "
           f"({largest.extra['qps_cached']} q/s cached vs "

@@ -30,12 +30,12 @@ _STORE = Path(__file__).parent
 
 
 def pytest_addoption(parser):
-    from repro.perf import BACKENDS
+    from repro.perf.backends import ALIASES, BACKENDS
     parser.addoption(
-        "--repro-backend", choices=sorted(BACKENDS), default=None,
+        "--repro-backend", choices=sorted({*BACKENDS, *ALIASES}),
+        default=None,
         help="ambient simulator backend for every benchmark sweep "
-             "(sweeps needing unsupported hooks fall back to the "
-             "reference backend; results are pinned identical)")
+             "(results are pinned identical across backends)")
 
 
 def pytest_configure(config):

@@ -13,10 +13,10 @@ from .inspect import (
 from .records import ExperimentReport, Measurement
 from .tables import format_value, render_markdown, render_report, render_table
 from .sweep import (
-    sweep_backend_speedup,
     sweep_columnar,
     sweep_columnar_pipelined,
     sweep_fault_tolerance,
+    sweep_idle_nodes,
     sweep_invariants,
     sweep_node_kernels,
     sweep_recovery,
@@ -44,10 +44,10 @@ __all__ = [
     "render_markdown",
     "render_report",
     "render_table",
-    "sweep_backend_speedup",
     "sweep_columnar",
     "sweep_columnar_pipelined",
     "sweep_fault_tolerance",
+    "sweep_idle_nodes",
     "sweep_invariants",
     "sweep_node_kernels",
     "sweep_recovery",

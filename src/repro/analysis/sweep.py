@@ -23,7 +23,13 @@ from ..core import (
     run_k_ssp,
     run_short_range,
 )
-from ..graphs import path_graph, random_graph, zero_cluster_graph
+from ..congest import Network, Program
+from ..graphs import (
+    WeightedDigraph,
+    path_graph,
+    random_graph,
+    zero_cluster_graph,
+)
 from .records import ExperimentReport
 
 
@@ -161,113 +167,68 @@ def sweep_table1_exact(*, seeds: Sequence[int] = (0, 1),
     return rep
 
 
-def sweep_backend_speedup(*, sizes: Sequence[int] = (768, 1536), w: int = 4,
-                          repeats: int = 3,
-                          report: Optional[ExperimentReport] = None
-                          ) -> ExperimentReport:
-    """E19: wall-clock speedup of the fast simulator backend over the
-    reference backend on the Theorem I.1 pipelined algorithm.
+class _PingPong(Program):
+    """Nodes 0 and 1 bounce one token until round ``rounds``; every other
+    node is isolated and never asks for a send phase."""
 
-    The workload is Algorithm 1 (``run_hk_ssp``, single source,
-    ``h = n-1``) on a weighted path graph -- the regime where the
-    reference backend's per-round O(n) scans dominate: ~n active rounds
-    each touching O(1) nodes, so the reference pays O(n^2) scheduler
-    work against the fast backend's O(n log n).  ``Delta`` is
-    precomputed once via the sequential oracle and passed to *both*
-    backends, so only the simulators themselves are timed.
+    def __init__(self, v: int, rounds: int) -> None:
+        self.rounds = rounds
+        self.send_at = 1 if v == 0 else None
 
-    Timing is interleaved best-of-``repeats`` (each repeat times the
-    reference then the fast backend, and each backend keeps its fastest
-    repeat), which suppresses one-sided scheduler noise on loaded CI
-    machines.  Every row also differentially re-checks the two runs --
-    identical distances, round counts, message totals, fault statistics,
-    and trace streams -- so a speedup number can never come from the
-    backends quietly computing different things.
+    def on_send(self, ctx, r):
+        self.send_at = None
+        ctx.send(1 - ctx.node, "ping")
 
-    Each size produces two rows: ``hooks="none"`` (the plain zero-hook
-    delivery path) and ``hooks="full"`` (seeded fault plan + tracer +
-    ring recorder attached to both backends), because the fast backend
-    takes a different, instrumented delivery loop once any hook is
-    present -- the speedup that matters to a fault experiment is the
-    instrumented one.
+    def on_receive(self, ctx, r, inbox):
+        if r < self.rounds:
+            self.send_at = r + 1
 
-    ``measured`` is the speedup (reference seconds / fast seconds);
-    ``bound`` is left ``None`` because :class:`Measurement.within_bound`
-    tests ``measured <= bound`` and a speedup gate needs ``>=`` -- the
-    gate lives in ``benchmarks/bench_backend_speedup.py`` (CI fails
-    below 2x plain / 1.5x instrumented at the largest size).
+    def next_active_round(self, ctx, r):
+        return self.send_at
+
+
+def sweep_idle_nodes(*, idle: Sequence[int] = (5_000, 20_000),
+                     rounds: int = 3_000, repeats: int = 3,
+                     max_ratio: float = 3.0,
+                     report: Optional[ExperimentReport] = None
+                     ) -> ExperimentReport:
+    """E19: the object loop's cost per round follows the active nodes,
+    not ``n``.
+
+    Two nodes bounce a token for ``rounds`` rounds, once alone and once
+    next to ``k`` isolated nodes that never send.  Only ``Network.run``
+    is timed (construction is not), best of ``repeats``.  *measured* is
+    the ratio of the two run times and *bound* is ``max_ratio``: a loop
+    that scanned every node each round would pay O(n) per round and
+    blow far past it, while the round-bucketed schedule pays only the
+    O(n) start-up pass.  Both runs must count the same rounds and
+    messages.
     """
-    from ..faults import CrashWindow, FaultPlan
-    from ..graphs.reference import weak_delta_bound
-    from ..obs import Tracer
-
     rep = report or ExperimentReport(
-        "E19", "Backend speedup: fast vs reference wall-clock on the "
-               "Theorem I.1 pipelined schedule (path graphs), with and "
-               "without instrumentation hooks attached")
-    # The instrumented plan must be *schedule-preserving*: Algorithm 1's
-    # provable pipeline is exactly what is being timed, and a delayed or
-    # corrupted entry trips the program's own Invariant 1 assertion (the
-    # algorithm is not fault tolerant -- that is E4's subject, not
-    # E19's).  A crash window far past quiescence injects nothing yet
-    # routes every envelope through the injector's full offer/
-    # deliverable machinery, which is the overhead being measured.
-    plan = FaultPlan(seed=1, crashes=(CrashWindow(0, 1_000_000_000),))
-    for n in sizes:
-        g = path_graph(n, w=w)
-        h = n - 1
-        delta = weak_delta_bound(g, [0], h)
-        for hooks in ("none", "full"):
+        "E19", "Idle-node scaling: object-loop run time with k isolated "
+               "nodes next to one active pair, relative to the pair alone")
 
-            def timed(backend):
-                tracer = Tracer() if hooks == "full" else None
-                t0 = time.perf_counter()
-                r = run_hk_ssp(
-                    g, [0], h, delta, backend=backend,
-                    fault_plan=plan if hooks == "full" else None,
-                    tracer=tracer,
-                    record_window=3 if hooks == "full" else 0,
-                    max_rounds=40 * (n + 2) + 200)
-                return time.perf_counter() - t0, r, tracer
+    def best_run(n):
+        g = WeightedDigraph.from_edges(n, [(0, 1, 1), (1, 0, 1)])
+        best, metrics = math.inf, None
+        for _ in range(max(1, repeats)):
+            net = Network(g, lambda v: _PingPong(v, rounds))
+            t0 = time.perf_counter()
+            metrics = net.run(rounds + 1)
+            best = min(best, time.perf_counter() - t0)
+        return best, metrics
 
-            ref_s = fast_s = math.inf
-            ref_res = fast_res = None
-            ref_tr = fast_tr = None
-            for _ in range(max(1, repeats)):
-                dt, r, tr = timed("reference")
-                if dt < ref_s:
-                    ref_s, ref_res, ref_tr = dt, r, tr
-                dt, f, tr = timed("fast")
-                if dt < fast_s:
-                    fast_s, fast_res, fast_tr = dt, f, tr
-            if ref_res.dist != fast_res.dist:
-                raise AssertionError(
-                    f"E19 n={n} hooks={hooks}: backends disagree on "
-                    f"distances -- speedup numbers would be meaningless "
-                    f"(differential harness escape, see "
-                    f"tests/differential.py)")
-            if (ref_res.metrics.rounds != fast_res.metrics.rounds
-                    or ref_res.metrics.messages != fast_res.metrics.messages
-                    or ref_res.metrics.faults != fast_res.metrics.faults):
-                raise AssertionError(
-                    f"E19 n={n} hooks={hooks}: backends disagree on "
-                    f"metrics (rounds {ref_res.metrics.rounds} vs "
-                    f"{fast_res.metrics.rounds}, messages "
-                    f"{ref_res.metrics.messages} vs "
-                    f"{fast_res.metrics.messages}, faults "
-                    f"{dict(ref_res.metrics.faults)} vs "
-                    f"{dict(fast_res.metrics.faults)})")
-            if hooks == "full" and ref_tr.events != fast_tr.events:
-                raise AssertionError(
-                    f"E19 n={n}: backends disagree on the trace event "
-                    f"stream ({len(ref_tr.events)} vs "
-                    f"{len(fast_tr.events)} events)")
-            rep.add({"n": n, "w": w, "Delta": delta, "hooks": hooks},
-                    measured=round(ref_s / fast_s, 2),
-                    ref_s=round(ref_s, 4),
-                    fast_s=round(fast_s, 4),
-                    rounds=ref_res.metrics.rounds,
-                    messages=ref_res.metrics.messages)
+    busy_s, busy_m = best_run(2)
+    for k in idle:
+        idle_s, m = best_run(2 + k)
+        if (m.rounds, m.messages) != (busy_m.rounds, busy_m.messages):
+            raise AssertionError(
+                f"E19 idle={k}: idle nodes changed the execution "
+                f"(rounds {m.rounds} vs {busy_m.rounds}, messages "
+                f"{m.messages} vs {busy_m.messages})")
+        rep.add({"idle": k, "rounds": m.rounds},
+                measured=round(idle_s / busy_s, 2), bound=max_ratio,
+                busy_s=round(busy_s, 4), idle_s=round(idle_s, 4))
     return rep
 
 
@@ -279,21 +240,20 @@ def sweep_node_kernels(*, sizes: Sequence[Tuple[int, int, int]] = (
     """E20: wall-clock speedup of the indexed node-state kernels over the
     naive linear-scan ``ReferenceNodeList`` inside Algorithm 1.
 
-    After the fast backend removed the network loop's O(n) scans (E19),
-    the remaining wall-clock is node-side: ``fire_at`` /
+    With the object loop at O(active nodes) per round (E19), the
+    remaining wall-clock is node-side: ``fire_at`` /
     ``next_fire_after`` rescanning every list entry per active round and
     the O(len) count queries of Steps 8-13.  That cost only shows when
-    per-node lists are *long*, so -- unlike E19's single-source workload,
+    per-node lists are *long*, so -- unlike a single-source workload,
     whose path-graph lists hold one entry per source -- E20 spreads ``k``
     sources along a weighted path at the same largest size (each row is
     ``(n, k, h)``): every node's list carries ~k entries (two candidate
     directions per source, budget-capped), which is exactly the regime
-    the kernels index.  Both arms run on the **fast backend**, so the
-    measured gap is purely the node-state kernels -- the speedup is *on
-    top of* E19's.
+    the kernels index.  Both arms run on the object loop (the reference
+    backend), so the measured gap is purely the node-state kernels.
 
     Timing is interleaved best-of-``repeats`` (reference kernel then
-    indexed kernel per repeat, each keeping its fastest), as in E19.
+    indexed kernel per repeat, each keeping its fastest).
     Every row differentially re-checks the two runs -- identical
     distances, hops, parents, round counts, message totals, and list
     statistics -- so a speedup can never come from the kernels quietly
@@ -316,7 +276,7 @@ def sweep_node_kernels(*, sizes: Sequence[Tuple[int, int, int]] = (
     rep = report or ExperimentReport(
         "E20", "Node-state kernels: indexed vs linear-scan NodeList "
                "wall-clock inside Algorithm 1 (k sources spread on a "
-               "weighted path, both arms on the fast backend)")
+               "weighted path, both arms on the object loop)")
     for n, k, h in sizes:
         g = path_graph(n, w=w)
         srcs = list(range(0, n, max(1, n // k)))[:k]
@@ -324,7 +284,7 @@ def sweep_node_kernels(*, sizes: Sequence[Tuple[int, int, int]] = (
 
         def timed(kernel):
             t0 = time.perf_counter()
-            r = run_hk_ssp(g, srcs, h, delta, backend="fast",
+            r = run_hk_ssp(g, srcs, h, delta, backend="reference",
                            list_kernel=kernel, max_rounds=10 ** 7)
             return time.perf_counter() - t0, r
 
@@ -377,10 +337,10 @@ def sweep_columnar(*, sides: Sequence[int] = (30, 60, 100), w_max: int = 6,
                    report: Optional[ExperimentReport] = None
                    ) -> ExperimentReport:
     """E23: wall-clock speedup of the columnar bulk-synchronous backend
-    over the fast backend on grid-graph Bellman-Ford relaxation.
+    over the object loop on grid-graph Bellman-Ford relaxation.
 
-    E19 removed the reference loop's per-round O(n) scans and E20 the
-    node-side list scans; what remains on the hot path is per-message
+    The object loop costs O(active nodes) per round (E19) and E20 removed
+    the node-side list scans; what remains on the hot path is per-message
     Python object traffic (an Envelope, a payload tuple, a Counter
     update, several method calls per message).  The columnar backend
     eliminates it for the relaxation family, so the workload here is the
@@ -392,11 +352,8 @@ def sweep_columnar(*, sides: Sequence[int] = (30, 60, 100), w_max: int = 6,
     entry-point call; only ``backend=`` differs.
 
     Timing is interleaved best-of-``repeats`` (each repeat times the
-    fast backend then the columnar backend, each keeping its fastest),
-    as in E19/E20.  The baseline is the **fast** backend -- itself
-    differentially pinned to the reference -- because at these sizes the
-    reference backend's O(n)-per-round scans would measure E19's effect
-    again, not the columnar engine's.  Every timed pair is
+    object loop then the columnar backend, each keeping its fastest),
+    as in E20.  Every timed pair is
     differentially re-checked (distances, hops, parents, rounds,
     messages, words, per-channel and per-node counters), so a speedup
     can never come from the backends quietly computing different things.
@@ -411,8 +368,8 @@ def sweep_columnar(*, sides: Sequence[int] = (30, 60, 100), w_max: int = 6,
     ``measured`` is the (deterministic) round count plus the
     differential-agreement flag, bit-stable across machines.
 
-    ``measured`` (timing mode) is the speedup (fast seconds / columnar
-    seconds); the CI gate lives in ``benchmarks/bench_columnar.py``
+    ``measured`` (timing mode) is the speedup (object-loop seconds /
+    columnar seconds); the CI gate lives in ``benchmarks/bench_columnar.py``
     (fails below 2x at the largest size).
     """
     from ..core.bellman_ford import run_bellman_ford
@@ -421,7 +378,7 @@ def sweep_columnar(*, sides: Sequence[int] = (30, 60, 100), w_max: int = 6,
 
     rep = report or ExperimentReport(
         "E23", "Columnar backend speedup: bulk-synchronous array rounds "
-               "vs the fast backend's per-message delivery on grid "
+               "vs the object loop's per-message delivery on grid "
                "Bellman-Ford (single source, random weights)")
     impls = (("numpy", "python") if columnar_mod._numpy() is not None
              else ("python",))
@@ -437,39 +394,39 @@ def sweep_columnar(*, sides: Sequence[int] = (30, 60, 100), w_max: int = 6,
 
             prev = columnar_mod.set_numpy_enabled(impl == "numpy")
             try:
-                fast_s = col_s = math.inf
-                fast_res = col_res = None
+                loop_s = col_s = math.inf
+                loop_res = col_res = None
                 for _ in range(max(1, repeats if timing else 1)):
-                    dt, r = timed("fast")
-                    if dt < fast_s:
-                        fast_s, fast_res = dt, r
+                    dt, r = timed("reference")
+                    if dt < loop_s:
+                        loop_s, loop_res = dt, r
                     dt, c = timed("columnar")
                     if dt < col_s:
                         col_s, col_res = dt, c
             finally:
                 columnar_mod.set_numpy_enabled(prev)
-            if (fast_res.dist != col_res.dist
-                    or fast_res.hops != col_res.hops
-                    or fast_res.parent != col_res.parent):
+            if (loop_res.dist != col_res.dist
+                    or loop_res.hops != col_res.hops
+                    or loop_res.parent != col_res.parent):
                 raise AssertionError(
                     f"E23 side={side} impl={impl}: backends disagree on "
                     f"outputs -- speedup numbers would be meaningless "
                     f"(conformance suite escape, see "
                     f"tests/backend_conformance.py)")
-            mf, mc = fast_res.metrics, col_res.metrics
-            if (mf.rounds != mc.rounds or mf.messages != mc.messages
-                    or mf.words != mc.words
-                    or mf.channel_messages != mc.channel_messages
-                    or mf.node_sends != mc.node_sends):
+            ml, mc = loop_res.metrics, col_res.metrics
+            if (ml.rounds != mc.rounds or ml.messages != mc.messages
+                    or ml.words != mc.words
+                    or ml.channel_messages != mc.channel_messages
+                    or ml.node_sends != mc.node_sends):
                 raise AssertionError(
                     f"E23 side={side} impl={impl}: backends disagree on "
-                    f"metrics (rounds {mf.rounds} vs {mc.rounds}, "
-                    f"messages {mf.messages} vs {mc.messages}, words "
-                    f"{mf.words} vs {mc.words})")
+                    f"metrics (rounds {ml.rounds} vs {mc.rounds}, "
+                    f"messages {ml.messages} vs {mc.messages}, words "
+                    f"{ml.words} vs {mc.words})")
             base = {"n": g.n, "rows": side, "cols": side, "impl": impl}
             if timing:
-                rep.add(base, measured=round(fast_s / col_s, 2),
-                        fast_s=round(fast_s, 4),
+                rep.add(base, measured=round(loop_s / col_s, 2),
+                        loop_s=round(loop_s, 4),
                         columnar_s=round(col_s, 4),
                         rounds=mc.rounds, messages=mc.messages)
             else:
@@ -486,7 +443,7 @@ def sweep_columnar_pipelined(*, sizes: Sequence[Tuple[int, float, int, int]]
                              report: Optional[ExperimentReport] = None
                              ) -> ExperimentReport:
     """E24: wall-clock speedup of the columnar pipelined (h, k)-SSP
-    kernel over the fast backend on the paper's actual algorithm.
+    kernel over the object loop on the paper's actual algorithm.
 
     E23 vectorized the Bellman-Ford relaxation family; this sweep
     measures the tentpole that matters -- Algorithm 1 itself
@@ -500,15 +457,15 @@ def sweep_columnar_pipelined(*, sizes: Sequence[Tuple[int, float, int, int]]
     random graphs with ``k`` spread sources and ``h`` around the
     effective diameter, so each round carries thousands of messages and
     the per-message object traffic (Envelope, payload tuple, Counter
-    updates, list_v method calls) the fast backend pays is the dominant
+    updates, list_v method calls) the object loop pays is the dominant
     cost.  ``Delta`` is precomputed once per size via the sequential
     oracle and passed to **both** arms, so only the simulators are
     timed; each ``(n, p, k, h)`` size runs once per available bulk
     implementation (``impl="numpy"`` and, always, ``impl="python"`` --
-    the fallback must stay faster than the fast backend, not just
+    the fallback must stay faster than the object loop, not just
     exist).
 
-    Timing is interleaved best-of-``repeats`` as in E19/E20/E23, and
+    Timing is interleaved best-of-``repeats`` as in E20/E23, and
     every timed pair is differentially re-checked (distances, source
     set, Delta, rounds, messages, words, per-channel and per-node
     counters), so a speedup can never come from the backends quietly
@@ -519,8 +476,8 @@ def sweep_columnar_pipelined(*, sizes: Sequence[Tuple[int, float, int, int]]
     ``measured`` is the (deterministic) round count plus the
     differential-agreement flag, bit-stable across machines.
 
-    ``measured`` (timing mode) is the speedup (fast seconds / columnar
-    seconds); the CI gate lives in
+    ``measured`` (timing mode) is the speedup (object-loop seconds /
+    columnar seconds); the CI gate lives in
     ``benchmarks/bench_columnar_pipelined.py`` (fails below 2x for the
     primary implementation at the largest size, or if the pure-Python
     fallback drops to/below 1x).
@@ -530,7 +487,7 @@ def sweep_columnar_pipelined(*, sizes: Sequence[Tuple[int, float, int, int]]
 
     rep = report or ExperimentReport(
         "E24", "Columnar pipelined kernel speedup: Algorithm 1 as bulk "
-               "column passes vs the fast backend's per-message loop on "
+               "column passes vs the object loop's per-message delivery on "
                "dense random (h, k)-SSP instances")
     impls = (("numpy", "python") if columnar_mod._numpy() is not None
              else ("python",))
@@ -547,40 +504,40 @@ def sweep_columnar_pipelined(*, sizes: Sequence[Tuple[int, float, int, int]]
 
             prev = columnar_mod.set_numpy_enabled(impl == "numpy")
             try:
-                fast_s = col_s = math.inf
-                fast_res = col_res = None
+                loop_s = col_s = math.inf
+                loop_res = col_res = None
                 for _ in range(max(1, repeats if timing else 1)):
-                    dt, r = timed("fast")
-                    if dt < fast_s:
-                        fast_s, fast_res = dt, r
+                    dt, r = timed("reference")
+                    if dt < loop_s:
+                        loop_s, loop_res = dt, r
                     dt, c = timed("columnar")
                     if dt < col_s:
                         col_s, col_res = dt, c
             finally:
                 columnar_mod.set_numpy_enabled(prev)
-            if (fast_res.dist != col_res.dist
-                    or fast_res.sources != col_res.sources
-                    or fast_res.delta != col_res.delta):
+            if (loop_res.dist != col_res.dist
+                    or loop_res.sources != col_res.sources
+                    or loop_res.delta != col_res.delta):
                 raise AssertionError(
                     f"E24 n={n} impl={impl}: backends disagree on "
                     f"outputs -- speedup numbers would be meaningless "
                     f"(conformance suite escape, see "
                     f"tests/backend_conformance.py)")
-            mf, mc = fast_res.metrics, col_res.metrics
-            if (mf.rounds != mc.rounds or mf.messages != mc.messages
-                    or mf.words != mc.words
-                    or mf.channel_messages != mc.channel_messages
-                    or mf.node_sends != mc.node_sends):
+            ml, mc = loop_res.metrics, col_res.metrics
+            if (ml.rounds != mc.rounds or ml.messages != mc.messages
+                    or ml.words != mc.words
+                    or ml.channel_messages != mc.channel_messages
+                    or ml.node_sends != mc.node_sends):
                 raise AssertionError(
                     f"E24 n={n} impl={impl}: backends disagree on "
-                    f"metrics (rounds {mf.rounds} vs {mc.rounds}, "
-                    f"messages {mf.messages} vs {mc.messages}, words "
-                    f"{mf.words} vs {mc.words})")
+                    f"metrics (rounds {ml.rounds} vs {mc.rounds}, "
+                    f"messages {ml.messages} vs {mc.messages}, words "
+                    f"{ml.words} vs {mc.words})")
             base = {"n": n, "p": p, "k": len(srcs), "h": h,
                     "Delta": delta, "impl": impl}
             if timing:
-                rep.add(base, measured=round(fast_s / col_s, 2),
-                        fast_s=round(fast_s, 4),
+                rep.add(base, measured=round(loop_s / col_s, 2),
+                        loop_s=round(loop_s, 4),
                         columnar_s=round(col_s, 4),
                         rounds=mc.rounds, messages=mc.messages)
             else:
@@ -672,9 +629,9 @@ def sweep_recovery(*, seeds: Sequence[int] = (0, 1),
       leaves some source's tree untouched it must be strictly cheaper.
     * ``update=crash`` -- the same single-edge update applied while a
       node crashes mid-repair and restarts from its checkpoint
-      (delays + duplicates active).  The row is executed on *both*
-      simulator backends and their instrumented digests are asserted
-      bit-identical, the E19 cross-backend pinning pattern.
+      (delays + duplicates active), Dijkstra-checked; the row carries
+      the instrumented digest (fault runs never reach a columnar
+      kernel, so they run on the object loop only).
     """
     from ..faults.plan import CrashWindow, FaultPlan
     from ..recovery import DynamicRun, EdgeUpdate
@@ -682,8 +639,7 @@ def sweep_recovery(*, seeds: Sequence[int] = (0, 1),
 
     rep = report or ExperimentReport(
         "E21", "Recovery: incremental repair rounds <= from-scratch "
-               "recompute; crash-during-update runs oracle-correct and "
-               "backend-pinned")
+               "recompute; crash-during-update runs oracle-correct")
     for seed in seeds:
         for n in sizes:
             g = random_graph(n, p=0.35, w_max=8, zero_fraction=0.2,
@@ -714,33 +670,23 @@ def sweep_recovery(*, seeds: Sequence[int] = (0, 1),
                         saved_rounds=rec.full_rounds - rec.rounds_to_repair)
 
             # Crash-during-update: same edge update, node crash +
-            # checkpoint restart mid-repair, pinned across backends.
+            # checkpoint restart mid-repair.
             plan = FaultPlan(
                 seed=seed + 1, delay_rate=0.1, duplicate_rate=0.05,
                 max_delay=2,
                 crashes=(CrashWindow(rng.randrange(n), 4, 10,
                                      restart_from="checkpoint"),))
-            digests, repairs = {}, {}
-            for backend in ("reference", "fast"):
-                run = DynamicRun(g, sources, fault_plan=plan,
-                                 checkpoint_every=4, backend=backend)
-                run.apply(EdgeUpdate(u, v, w + 3))
-                assert not run.oracle_check(), (
-                    f"E21 seed={seed} n={n} crash: backend {backend} "
-                    f"repaired to wrong distances")
-                digests[backend] = run.digest()
-                repairs[backend] = run.metrics.rounds_to_repair
-            assert digests["reference"] == digests["fast"], (
-                f"E21 seed={seed} n={n} crash: backends disagree on the "
-                f"instrumented digest -- reference "
-                f"{digests['reference'][:12]} vs fast "
-                f"{digests['fast'][:12]}")
+            run = DynamicRun(g, sources, fault_plan=plan,
+                             checkpoint_every=4, backend="reference")
+            run.apply(EdgeUpdate(u, v, w + 3))
+            assert not run.oracle_check(), (
+                f"E21 seed={seed} n={n} crash: repaired to wrong "
+                f"distances")
             rep.add({"seed": seed, "n": n, "update": "crash",
                      "k": len(sources), "affected": -1},
-                    measured=repairs["reference"],
+                    measured=run.metrics.rounds_to_repair,
                     correct=1,
-                    backends_agree=1,
-                    digest=digests["reference"][:12])
+                    digest=run.digest()[:12])
     return rep
 
 
@@ -758,16 +704,17 @@ def sweep_serving(*, sizes: Sequence[Tuple[int, float, int]] = (
     naive route walks are long -- the regime a cache pays in):
 
     * ``row=serve`` -- a seeded Zipf workload replayed against one
-      :class:`~repro.serve.DistanceOracle` (fast backend).  The batched
+      :class:`~repro.serve.DistanceOracle` (object loop).  The batched
       answers are always asserted identical to the naive baseline's.
       In timing mode ``measured`` is naive seconds / batched+cached
       steady-state seconds (cache warmed by one pass, then best of
       ``repeats``) -- the quantity the >= 5x CI gate
       (benchmarks/bench_serving.py) checks at the largest size.
-    * ``row=build`` -- shard materialization wall-clock, fast backend
+    * ``row=build`` -- shard materialization wall-clock, object loop
       vs ``backend="columnar"`` (the pipelined bulk kernel,
       :mod:`repro.perf.columnar_pipelined`, carries every shard's
-      k-source run).  ``measured`` is fast seconds / columnar seconds
+      k-source run).  ``measured`` is object-loop seconds / columnar
+      seconds
       (best of ``repeats``); the served-table digests and build round
       counts are always asserted identical (``tables_match``) -- the
       speedup is only reported for tables that are bit-equal.
@@ -778,9 +725,9 @@ def sweep_serving(*, sizes: Sequence[Tuple[int, float, int]] = (
       post-refresh tables re-checked against Dijkstra through the
       *cached* query path (``correct``).
     * ``row=digest`` -- a small oracle built and refreshed identically
-      on every simulator backend (reference, fast, columnar); asserts
+      on both simulator backends (reference, columnar); asserts
       bit-identical :meth:`DistanceOracle.digest` values
-      (``backends_agree``), the E19/E21 cross-backend pinning pattern.
+      (``backends_agree``).
 
     ``timing=False`` switches to the deterministic mode used by the
     ``obs bench`` smoke suite: no clocks -- ``row=serve`` reports the
@@ -799,7 +746,7 @@ def sweep_serving(*, sizes: Sequence[Tuple[int, float, int]] = (
                "Dijkstra-correct; table digests backend-pinned")
     for n, p, num_queries in sizes:
         g = random_graph(n, p=p, w_max=6, zero_fraction=0.2, seed=seed)
-        oracle = DistanceOracle(g, num_shards=4, backend="fast")
+        oracle = DistanceOracle(g, num_shards=4, backend="reference")
         wl = generate_workload(n, num_queries, seed=seed, skew=skew)
         naive = oracle.serve_naive(wl)
         served = oracle.serve(wl)   # cold pass; also warms the cache
@@ -833,31 +780,31 @@ def sweep_serving(*, sizes: Sequence[Tuple[int, float, int]] = (
                     answers_match=1)
 
         # Shard build time: the same pipelined materialization on the
-        # fast backend vs the columnar bulk kernel.  Built before the
+        # object loop vs the columnar bulk kernel.  Built before the
         # refresh below mutates the serving graph.
         bbase = {"n": n, "p": p, "queries": num_queries, "seed": seed,
                  "skew": skew, "row": "build"}
-        build_s = {"fast": math.inf, "columnar": math.inf}
+        build_s = {"reference": math.inf, "columnar": math.inf}
         built = {}
         for _ in range(max(1, repeats) if timing else 1):
-            for backend_name in ("fast", "columnar"):
+            for backend_name in ("reference", "columnar"):
                 t0 = time.perf_counter()
                 built[backend_name] = DistanceOracle(
                     g, num_shards=4, method="pipelined",
                     backend=backend_name, cache_size=0)
                 build_s[backend_name] = min(
                     build_s[backend_name], time.perf_counter() - t0)
-        if (built["fast"].digest() != built["columnar"].digest()
-                or built["fast"].build_rounds
+        if (built["reference"].digest() != built["columnar"].digest()
+                or built["reference"].build_rounds
                 != built["columnar"].build_rounds):
             raise AssertionError(
                 f"E22 n={n}: columnar shard build diverges from the "
-                f"fast backend -- build speedup would be meaningless")
+                f"object loop -- build speedup would be meaningless")
         if timing:
             rep.add(bbase,
-                    measured=round(build_s["fast"] / build_s["columnar"],
-                                   2),
-                    build_s_fast=round(build_s["fast"], 4),
+                    measured=round(
+                        build_s["reference"] / build_s["columnar"], 2),
+                    build_s_loop=round(build_s["reference"], 4),
                     build_s_columnar=round(build_s["columnar"], 4),
                     build_rounds=built["columnar"].build_rounds,
                     tables_match=1)
@@ -888,7 +835,7 @@ def sweep_serving(*, sizes: Sequence[Tuple[int, float, int]] = (
     g = random_graph(n_pin, p=0.3, w_max=8, zero_fraction=0.2, seed=seed)
     u, v, w = min(sorted(g.edges()), key=lambda e: (e[2], e))
     digests = {}
-    for backend in ("reference", "fast", "columnar"):
+    for backend in ("reference", "columnar"):
         o = DistanceOracle(g, num_shards=3, method="pipelined",
                            backend=backend)
         o.refresh(EdgeUpdate(u, v, None))

@@ -57,14 +57,15 @@ shapes* (who wins, how cost scales in W / Delta / k / h, where the
 crossover falls), per the reproduction brief in DESIGN.md.
 
 Backend note: every sweep runs on the reference CONGEST simulator by
-default; ``repro bench <id> --backend fast|columnar --jobs N`` runs the
-same sweeps on the event-driven fast backend or the bulk-synchronous
-columnar backend and/or across worker processes.  Round counts,
+default; ``repro bench <id> --backend columnar --jobs N`` runs the
+same sweeps on the bulk-synchronous columnar backend and/or across
+worker processes.  Round counts,
 messages, and congestion are pinned identical across backends and job
 counts (tests/differential.py, tests/backend_conformance.py,
 tests/test_sweep_executor.py), so the tables below do not depend on
-either flag -- only wall-clock does.  E19, E23, and E24 measure those
-wall-clock gaps.
+either flag -- only wall-clock does.  E23 and E24 measure the columnar
+wall-clock gap; E19 checks that the object loop's run time follows the
+active nodes, not n.
 
 """
 
@@ -160,27 +161,27 @@ SECTIONS: Dict[str, Section] = {
         "at every drop rate (asserted); the overhead columns measure the "
         "rounds/messages cost vs the drop-free wrapped run."),
     "E19": Section(
-        "E19 -- fast simulator backend: wall-clock speedup (infrastructure)",
-        "Theorem I.1's pipelined schedule on weighted path graphs, timed on "
-        "both simulator backends with every pair differentially re-checked "
-        "(distances, metrics, fault statistics, trace streams); *measured* "
-        "is reference seconds / fast seconds (best of 3).  Each size is "
-        "timed bare (hooks=none, the plain delivery path) and with the "
-        "full hook set attached (hooks=full: fault injector + tracer + "
-        "ring recorder).  Wall-clock numbers are machine-dependent; CI "
-        "gates the largest size at >= 2x plain and >= 1.5x instrumented "
-        "(benchmarks/bench_backend_speedup.py)."),
+        "E19 -- idle-node scaling of the object loop (infrastructure)",
+        "Two nodes bounce a token for 3,000 rounds, alone and next to k "
+        "isolated nodes that never send; only Network.run is timed (best "
+        "of 3).  *measured* is the run time with the idle nodes over the "
+        "run time without, *bound* the 3x ceiling: the round-bucketed "
+        "send schedule costs O(active nodes) per round, so only the O(n) "
+        "start-up pass grows with k, while a loop that scanned every node "
+        "each round would be about 100x slower at k = 20,000.  Rounds and "
+        "messages are asserted equal with and without the idle nodes.  "
+        "CI gates every row at <= 3x (benchmarks/bench_idle_nodes.py)."),
     "E20": Section(
         "E20 -- node-state kernels: wall-clock speedup (infrastructure)",
         "Algorithm 1 with k sources spread on a weighted path (rows are "
         "(n, k, h)) -- the long-list regime where node-side scans dominate "
         "-- run once with the indexed NodeList kernels (bisection fire_at/"
         "next_fire_after, per-source indexes, incremental max) and once "
-        "with the naive linear-scan ReferenceNodeList, both on the fast "
-        "backend, every pair differentially re-checked (distances, hops, "
+        "with the naive linear-scan ReferenceNodeList, both on the object "
+        "loop, every pair differentially re-checked (distances, hops, "
         "parents, rounds, messages, list statistics); *measured* is "
-        "reference-kernel seconds / indexed-kernel seconds (best of 2), "
-        "i.e. speedup on top of E19's.  Wall-clock numbers are machine-"
+        "reference-kernel seconds / indexed-kernel seconds (best of 2).  "
+        "Wall-clock numbers are machine-"
         "dependent; CI gates the largest size at >= 1.5x "
         "(benchmarks/bench_node_kernels.py)."),
     "E21": Section(
@@ -194,8 +195,8 @@ SECTIONS: Dict[str, Section] = {
         "unaffected; both asserted in the sweep).  The update=crash rows "
         "apply the same edge update while a node crashes mid-repair and "
         "restarts from its periodic checkpoint (delays + duplicates "
-        "active); they run on both simulator backends and assert "
-        "bit-identical instrumented digests.  CI gates the aggregate "
+        "active), are Dijkstra-checked, and record the instrumented "
+        "digest.  CI gates the aggregate "
         "saving (benchmarks/bench_recovery.py) and runs the seeded chaos "
         "campaign (python -m repro.recovery.chaos) on top."),
     "E22": Section(
@@ -203,7 +204,7 @@ SECTIONS: Dict[str, Section] = {
         "A seeded Zipf query workload replayed against the distance-oracle "
         "serving layer (repro.serve.DistanceOracle: per-source-partition "
         "RoutingTable shards materialized by the k-source pipeline on the "
-        "fast backend, LRU route cache, batched same-source execution).  "
+        "object loop, LRU route cache, batched same-source execution).  "
         "The row=serve *measured* is naive seconds / batched+cached "
         "steady-state seconds (the cache warmed by one pass, best of 3), "
         "with batched answers always asserted identical to the naive "
@@ -220,16 +221,16 @@ SECTIONS: Dict[str, Section] = {
         "E23 -- columnar backend: bulk-synchronous rounds (infrastructure)",
         "Single-source Bellman-Ford on random-weight side x side grids "
         "(n = side^2, ~2n edges, wavefronts thousands of nodes wide) timed "
-        "on the fast backend and the columnar backend -- flat CSR/column "
+        "on the object loop and the columnar backend -- flat CSR/column "
         "arrays and whole-round scatter-min updates instead of per-message "
         "Envelope objects -- with every timed pair differentially "
         "re-checked (distances, hops, parents, rounds, messages, words, "
-        "per-channel and per-node counters); *measured* is fast seconds / "
-        "columnar seconds (best of 3), one row per bulk implementation "
-        "(impl=numpy and the pure-Python fallback impl=python, selected "
-        "via REPRO_COLUMNAR_NUMPY).  The baseline is the fast backend -- "
-        "itself pinned to the reference -- so the gap is pure message-path "
-        "overhead, on top of E19's scheduler win.  Wall-clock numbers are "
+        "per-channel and per-node counters); *measured* is object-loop "
+        "seconds / columnar seconds (best of 3), one row per bulk "
+        "implementation (impl=numpy and the pure-Python fallback "
+        "impl=python, selected via REPRO_COLUMNAR_NUMPY).  The object "
+        "loop already costs O(active nodes) per round (E19), so the gap "
+        "is pure message-path overhead.  Wall-clock numbers are "
         "machine-dependent; CI gates the largest size at >= 2x "
         "(benchmarks/bench_columnar.py), and the registry-parametrized "
         "conformance suite (tests/backend_conformance.py) pins the "
@@ -238,7 +239,7 @@ SECTIONS: Dict[str, Section] = {
         "E24 -- columnar pipelined kernel: Algorithm 1 as bulk column "
         "passes (infrastructure)",
         "The (h, k)-SSP pipeline itself (run_hk_ssp) on dense directed "
-        "random graphs with k spread sources, timed on the fast backend "
+        "random graphs with k spread sources, timed on the object loop "
         "and the columnar backend's pipelined bulk kernel "
         "(repro.perf.columnar_pipelined) -- per-node key/d/l/x/flag_sp "
         "columns, the Step 1 send schedule as a rank bisection, Step 2 "
@@ -246,7 +247,7 @@ SECTIONS: Dict[str, Section] = {
         "nu-counting as column passes with the reference tie-break -- "
         "with every timed pair differentially re-checked (distances, "
         "source set, Delta, rounds, messages, words, per-channel and "
-        "per-node counters); *measured* is fast seconds / columnar "
+        "per-node counters); *measured* is object-loop seconds / columnar "
         "seconds (best of 3), one row per bulk implementation "
         "(impl=numpy and the pure-Python fallback impl=python, selected "
         "via REPRO_COLUMNAR_NUMPY).  Delta is precomputed once and "

@@ -44,13 +44,13 @@ Commands operate on graph files in the plain-text format of
   ``campaign report`` renders markdown tables from the store and can
   diff against a BENCH baseline.
 
-Simulation commands accept ``--backend`` (any registered name:
-``reference``, ``fast``, ``columnar``) to pick the CONGEST simulator
-backend (:mod:`repro.perf.backends`); the non-reference backends honor
-the full hook surface (fault injection, invariant monitoring, tracing,
-metrics, event recording) and are differentially pinned to the
-reference one on every hook observation, so backend choice is purely a
-wall-clock decision.
+Simulation commands accept ``--backend`` (``reference`` or
+``columnar``; ``fast`` is a deprecated alias of ``reference``) to pick
+the CONGEST simulator backend (:mod:`repro.perf.backends`); the
+columnar backend honors the full hook surface (fault injection,
+invariant monitoring, tracing, metrics, event recording) and is
+differentially pinned to the reference one on every hook observation,
+so backend choice is purely a wall-clock decision.
 """
 
 from __future__ import annotations
@@ -221,7 +221,7 @@ def cmd_bench(args, out) -> int:
         "E16": lambda: [exp_mod.sweep_random_vs_deterministic()],
         "E17": lambda: list(exp_mod.sweep_ksource_short_range()),
         "E18": lambda: [sweep_mod.sweep_fault_tolerance()],
-        "E19": lambda: [sweep_mod.sweep_backend_speedup()],
+        "E19": lambda: [sweep_mod.sweep_idle_nodes()],
         "E20": lambda: [sweep_mod.sweep_node_kernels()],
         "E21": lambda: [sweep_mod.sweep_recovery()],
         "E22": lambda: [sweep_mod.sweep_serving()],
@@ -581,12 +581,12 @@ _SMOKE_SUITE = (
     ("repro.analysis.sweep:sweep_serving",
      {"sizes": ((32, 0.15, 4000),), "timing": False}),
     # E23 in its clock-free mode: deterministic rounds/messages plus the
-    # fast-vs-columnar agreement flag (the timed >= 2x columnar gate is
+    # object-loop-vs-columnar agreement flag (the timed >= 2x gate is
     # benchmarks/bench_columnar.py, not the smoke compare).
     ("repro.analysis.sweep:sweep_columnar",
      {"sides": (12,), "timing": False}),
     # E24 in its clock-free mode: deterministic rounds/messages plus the
-    # fast-vs-columnar agreement flag for the pipelined bulk kernel (the
+    # object-loop-vs-columnar agreement flag for the pipelined kernel (the
     # timed >= 2x gate is benchmarks/bench_columnar_pipelined.py, not
     # the smoke compare).
     ("repro.analysis.sweep:sweep_columnar_pipelined",
@@ -619,7 +619,7 @@ def cmd_obs(args, out) -> int:
         def execute():
             # obs run always attaches a tracer; both backends honor it
             # (differentially pinned to identical event streams), so
-            # --backend fast traces at fast-backend speed.  The
+            # --backend columnar traces on the pipelined kernel.  The
             # multi-phase blocker method takes the backend as the
             # ambient default rather than a per-call argument.
             if sources is None:
@@ -734,10 +734,11 @@ def cmd_bounds(args, out) -> int:
 
 
 def _add_backend_flag(parser) -> None:
-    from .perf.backends import BACKENDS
-    parser.add_argument("--backend", choices=sorted(BACKENDS),
+    from .perf.backends import ALIASES, BACKENDS
+    parser.add_argument("--backend", choices=sorted({*BACKENDS, *ALIASES}),
                         help="simulator backend (default: ambient, i.e. "
-                             "REPRO_BACKEND or 'reference')")
+                             "REPRO_BACKEND or 'reference'; 'fast' is a "
+                             "deprecated alias of 'reference')")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1059,14 +1060,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None, out=None) -> int:
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
-    from .perf import BackendUnsupported, SweepWorkerError
+    from .perf import SweepWorkerError
     try:
         return args.func(args, out)
     except (FileNotFoundError, ValueError, KeyError,
-            BackendUnsupported, SweepWorkerError) as exc:
+            SweepWorkerError) as exc:
         # expected user errors (missing file, bad parameter, malformed
-        # graph, backend/hook contradiction, failed sweep worker): one
-        # clean message on stderr, exit 2 -- no traceback
+        # graph, bad backend setting, failed sweep worker): one clean
+        # message on stderr, exit 2 -- no traceback
         from .graphs.digraph import GraphError  # noqa: F401 (subclass of ValueError)
         sys.stderr.write(f"error: {exc}\n")
         return 2

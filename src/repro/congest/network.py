@@ -20,6 +20,13 @@ Design notes
   round counter still advances through them (``RunMetrics.skipped_rounds``
   records how many were skipped), so measured round complexity is identical
   to naive execution.
+* The send schedule is round-bucketed (a dict from round to the nodes
+  that asked for it, plus a min-heap of the distinct rounds), so a round
+  costs O(active nodes), not O(n): under Algorithm 1's schedule most
+  nodes sit idle in most rounds.  :meth:`Network.run` is the only
+  object-level round loop; the columnar backend
+  (:class:`repro.perf.columnar.ColumnarNetwork`) subclasses it and falls
+  back to it for everything its bulk kernels do not cover.
 * The fault-free path is the *default* path: fault injection
   (``fault_plan``), invariant monitoring (``monitor``), and event
   recording (``record_window``) all hang off ``None``/zero checks, so a
@@ -30,6 +37,7 @@ Design notes
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from operator import attrgetter
 from time import perf_counter as _perf
 from typing import Any, Callable, Dict, List, Optional
@@ -228,12 +236,28 @@ class Network:
                 programs[v].on_start(contexts[v])
             self._started = True
 
-        # next_round[v] is the earliest round (> last processed round) at
-        # which node v wants its send phase executed, or None if quiescent.
-        next_round: List[Optional[int]] = [
-            programs[v].next_active_round(contexts[v], self._round)
-            for v in range(n)
-        ]
+        # The round-bucketed send schedule, re-derived from the programs
+        # at every entry.  sched[v] is the earliest round (> last
+        # processed round) at which node v wants its send phase, or
+        # None if quiescent.  buckets maps a round to the nodes that
+        # asked for it; entries may be stale, and an entry is live iff
+        # sched[v] == r.  rounds is a min-heap of the distinct bucket
+        # rounds, so a round costs O(active nodes), not O(n).
+        sched: List[Optional[int]] = [None] * n
+        buckets: Dict[int, List[int]] = {}
+        rounds: List[int] = []
+        base = self._round
+        for v in range(n):
+            nr = programs[v].next_active_round(contexts[v], base)
+            if nr is not None:
+                sched[v] = nr
+                bucket = buckets.get(nr)
+                if bucket is None:
+                    buckets[nr] = [v]
+                    rounds.append(nr)
+                else:
+                    bucket.append(v)
+        heapify(rounds)
 
         metrics = self.metrics
         chmsg = metrics.channel_messages
@@ -243,23 +267,37 @@ class Network:
         # run still reports exactly the load it offered.
         msg_count = words_total = 0
         max_msg_words = metrics.max_message_words
-        prev_r = self._round
+        prev_r = base
         try:
             while True:
-                pending = [x for x in next_round if x is not None]
+                # The earliest round with a live sender; all-stale
+                # buckets are dropped as they surface.
+                due: List[int] = []
+                while rounds:
+                    r = rounds[0]
+                    due = [v for v in buckets[r] if sched[v] == r]
+                    if due:
+                        break
+                    heappop(rounds)
+                    del buckets[r]
+                else:
+                    r = None
                 if injector is not None:
                     in_flight = injector.earliest_in_flight()
-                    if in_flight is not None:
-                        pending.append(in_flight)
-                if not pending:
+                    if in_flight is not None and (r is None or in_flight < r):
+                        r, due = in_flight, []
+                if r is None:
                     break  # global quiescence: no sends scheduled, none in flight
-                r = min(pending)
                 if r > max_rounds:
                     raise RoundLimitExceeded(
                         f"no quiescence by round {max_rounds}; "
                         f"next scheduled activity at round {r}",
                         self._post_mortem("round limit exceeded", max_rounds,
-                                          next_round))
+                                          sched))
+                if due:
+                    heappop(rounds)
+                    del buckets[r]
+                    due.sort()
                 if r > prev_r + 1:
                     metrics.skipped_rounds += r - prev_r - 1
                 prev_r = r
@@ -267,19 +305,21 @@ class Network:
                 if timed:
                     t_round = _perf()
 
-                # --- send phase -------------------------------------------
+                # --- send phase: the nodes due at r, in increasing id ------
                 envelopes: List[Envelope] = []
                 senders: List[int] = []
-                for v in range(n):
-                    if next_round[v] is not None and next_round[v] <= r:
-                        ctx = contexts[v]
-                        ctx._begin_round(r)
-                        programs[v].on_send(ctx, r)
-                        out = ctx._end_send()
-                        if out:
-                            envelopes.extend(out)
-                            metrics.node_sends[v] += 1
-                        senders.append(v)
+                for v in due:
+                    if sched[v] != r:
+                        continue  # a node queued twice in one bucket
+                    sched[v] = None  # consumed; rescheduled below
+                    ctx = contexts[v]
+                    ctx._begin_round(r)
+                    programs[v].on_send(ctx, r)
+                    out = ctx._end_send()
+                    if out:
+                        envelopes.extend(out)
+                        metrics.node_sends[v] += 1
+                    senders.append(v)
 
                 # --- CONGEST constraint enforcement + delivery -------------
                 inboxes: Dict[int, List[Envelope]] = {}
@@ -353,11 +393,21 @@ class Network:
                 # ``next_active_round`` is queried in exactly this order
                 # on every backend, so a callback with side effects
                 # cannot make executions diverge across backends or
-                # ``PYTHONHASHSEED``.
+                # ``PYTHONHASHSEED``.  A changed round files the node in
+                # that round's bucket; its old entry goes stale.
                 touched = dict.fromkeys(senders)
                 touched.update(dict.fromkeys(receivers))
                 for v in touched:
-                    next_round[v] = programs[v].next_active_round(contexts[v], r)
+                    nr = programs[v].next_active_round(contexts[v], r)
+                    if nr != sched[v]:
+                        sched[v] = nr
+                        if nr is not None:
+                            bucket = buckets.get(nr)
+                            if bucket is None:
+                                buckets[nr] = [v]
+                                heappush(rounds, nr)
+                            else:
+                                bucket.append(v)
 
                 if tracer is not None:
                     tracer.emit(r, -1, "net.round", len(senders),
@@ -378,7 +428,7 @@ class Network:
                         # and let it propagate located, not bare.
                         try:
                             exc.post_mortem = self._post_mortem(
-                                f"invariant violation: {exc}", r, next_round)
+                                f"invariant violation: {exc}", r, sched)
                         except AttributeError:
                             pass
                         raise
@@ -407,7 +457,7 @@ class Network:
 
         The send schedule is deliberately *not* part of the state --
         :meth:`run` re-derives it from the programs on every (re)entry,
-        identically on both backends, so restoring program state plus
+        identically on every backend, so restoring program state plus
         this dict reproduces the interrupted execution exactly.
         Program state and metrics are captured separately by
         :mod:`repro.recovery.checkpoint`.

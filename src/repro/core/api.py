@@ -59,8 +59,8 @@ def apsp(graph: WeightedDigraph, *, method: str = "auto",
     :class:`repro.obs.MetricsRegistry`) attach the observability
     subsystem to whichever algorithm runs.
 
-    ``backend`` selects the simulator backend (``"reference"``,
-    ``"fast"`` or ``"columnar"``, see :mod:`repro.perf.backends`).  For
+    ``backend`` selects the simulator backend (``"reference"`` or
+    ``"columnar"``, see :mod:`repro.perf.backends`).  For
     the single-network methods it is passed explicitly; the multi-phase
     blocker method runs under it as the ambient default.  Every backend
     honors every hook, and results are pinned identical either way.  On

@@ -433,7 +433,7 @@ def run_hk_ssp(graph: WeightedDigraph, sources: Sequence[int], h: int,
         given, and both hooks are forwarded to the
         :class:`~repro.congest.network.Network`.
     backend:
-        Simulator backend: ``"reference"``, ``"fast"``, ``"columnar"``,
+        Simulator backend: ``"reference"``, ``"columnar"``,
         or ``None`` for the ambient default (see
         :mod:`repro.perf.backends`).  Every backend honors every hook
         and is differentially pinned to identical results, trace events

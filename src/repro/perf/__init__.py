@@ -1,26 +1,19 @@
-"""Performance layer: fast simulator backend + parallel sweep executor.
+"""Performance layer: columnar simulator backend + parallel sweep executor.
 
 Two independent speedups with one shared rule -- *never trade
 correctness for wall-clock silently*:
 
-* :class:`FastNetwork` (selected via ``backend="fast"``, ambiently via
-  :func:`set_default_backend` / ``REPRO_BACKEND=fast``) replaces the
-  reference simulator's per-round whole-network scans with an
-  event-driven active-node worklist; it honors the full hook surface
-  (fault injection, monitoring, tracing, metrics, event recording) and
-  is differentially pinned to produce bit-identical outputs,
-  :class:`~repro.congest.metrics.RunMetrics`, fault statistics, trace
-  streams, and post-mortems (``tests/differential.py``).
-  :class:`BackendUnsupported` remains public API for future backend
-  limitations; nothing raises it today.
 * :class:`ColumnarNetwork` (``backend="columnar"`` /
-  ``REPRO_BACKEND=columnar``) goes one step further for the relaxation
-  program family: flat numpy columns (pure-Python fallback behind
-  ``REPRO_COLUMNAR_NUMPY``) and whole-round bulk array operations
-  instead of per-message Python objects; every other program -- and
-  every hooked run -- executes on the inherited event-driven loop.
+  ``REPRO_BACKEND=columnar``) runs the relaxation and pipelined
+  (h, k)-SSP program families as flat numpy columns (pure-Python
+  fallback behind ``REPRO_COLUMNAR_NUMPY``) and whole-round bulk array
+  operations instead of per-message Python objects; every other program
+  -- and every run with a fault plan, monitor or record window -- runs
+  on the inherited object loop, :meth:`repro.congest.network.Network.run`.
   Pinned by ``tests/backend_conformance.py``, which parametrizes the
   differential suite over the :data:`BACKENDS` registry.
+  :class:`FastNetwork` and ``backend="fast"`` are deprecated aliases of
+  that object loop (see :mod:`repro.perf.backends`).
 * :class:`SweepExecutor` fans seed-major parameter sweeps across
   ``multiprocessing`` workers and merges the rows back in task order,
   reproducing the sequential reports exactly
@@ -31,7 +24,6 @@ See docs/PERFORMANCE.md for the contract and the measured speedups.
 
 from .backends import (
     BACKENDS,
-    BackendUnsupported,
     get_default_backend,
     make_network,
     set_default_backend,
@@ -52,7 +44,6 @@ from .sweep_executor import (
 
 __all__ = [
     "BACKENDS",
-    "BackendUnsupported",
     "ColumnarNetwork",
     "EXPERIMENT_SWEEPS",
     "FastNetwork",

@@ -1,35 +1,30 @@
 """Simulator backend selection.
 
-Three interchangeable CONGEST simulator backends exist:
+Two interchangeable CONGEST simulator backends exist:
 
 * ``"reference"`` -- :class:`repro.congest.network.Network`, the
-  straight-line reference simulator;
-* ``"fast"`` -- :class:`repro.perf.fast_network.FastNetwork`, the
-  event-driven worklist backend, differentially tested to be
-  bit-identical on outputs, :class:`~repro.congest.metrics.RunMetrics`,
-  fault statistics, trace event streams, and post-mortems;
+  object-level simulator: it runs every node's :class:`Program` on a
+  round-bucketed send schedule, O(active nodes) per round;
 * ``"columnar"`` -- :class:`repro.perf.columnar.ColumnarNetwork`, the
   bulk-synchronous engine: flat numpy (or pure-Python, see
   ``REPRO_COLUMNAR_NUMPY``) columns and per-round array operations for
   the relaxation and pipelined (h, k)-SSP program families, the
-  inherited event-driven loop for everything else, pinned by the same
-  differential machinery
-  (``tests/backend_conformance.py`` parametrizes the whole suite over
-  this registry).
+  inherited object loop for everything else, differentially pinned to
+  the reference (``tests/backend_conformance.py`` parametrizes the
+  whole suite over this registry).
 
-All backends support the full hook surface (``fault_plan``,
+``"fast"`` named a second object loop, an event-driven copy of the
+reference one; that worklist is now the reference loop itself.  The
+name stays accepted -- by ``backend=``, :func:`set_default_backend`,
+:func:`use_backend`, ``REPRO_BACKEND``, the CLI and campaign specs --
+as a deprecated alias of ``"reference"``: it raises a
+:class:`DeprecationWarning` and is kept as given, so
+:func:`get_default_backend` reports ``"fast"`` when that was chosen.
+
+Both backends support the full hook surface (``fault_plan``,
 ``monitor``, ``tracer``, ``registry``, ``record_window``), so backend
-choice is purely a wall-clock decision: there is no hook combination
-that forces one backend, and the unsupported set is empty.  (Historical
-note: the fast backend originally refused the instrumentation hooks
-with :class:`~repro.perf.fast_network.BackendUnsupported`, and ambient
-selection silently fell back to the reference backend for instrumented
-calls.  Both the refusal and the fallback are gone; the exception class
-remains public API so any future backend limitation can keep the
-explicit-vs-ambient rule: an *explicit* ``backend=`` request that
-cannot be honored must raise, never silently degrade, while an
-*ambient* default may fall back only to a differentially-pinned
-equivalent.)
+choice is purely a wall-clock decision: no hook combination forces or
+refuses a backend.
 
 Call sites in :mod:`repro.core` construct networks through
 :func:`make_network` instead of naming a class, and every ``run_*``
@@ -52,21 +47,23 @@ package (or ``repro --help``) unimportable.
 from __future__ import annotations
 
 import os
+import warnings
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, Optional
 
 from ..congest.network import Network
 from ..congest.node import Program
 from .columnar import ColumnarNetwork
-from .fast_network import BackendUnsupported, FastNetwork
 
 #: Backend name -> network class.  All classes share the constructor
 #: signature and the ``run(max_rounds) -> RunMetrics`` contract.
 BACKENDS: Dict[str, Any] = {
     "reference": Network,
-    "fast": FastNetwork,
     "columnar": ColumnarNetwork,
 }
+
+#: Deprecated backend name -> the :data:`BACKENDS` name it selects.
+ALIASES: Dict[str, str] = {"fast": "reference"}
 
 #: The ambient default; ``None`` means "not chosen yet" -- resolved
 #: lazily from ``REPRO_BACKEND`` (then ``"reference"``) on first use.
@@ -74,7 +71,14 @@ _default_backend: Optional[str] = None
 
 
 def _validated(name: str) -> str:
-    if name not in BACKENDS:
+    """*name* if it names a backend or an alias (warning on the latter),
+    else ``ValueError``."""
+    if name in ALIASES:
+        warnings.warn(
+            f"simulator backend {name!r} is deprecated; it selects "
+            f"{ALIASES[name]!r}, the same round loop",
+            DeprecationWarning, stacklevel=3)
+    elif name not in BACKENDS:
         raise ValueError(
             f"unknown simulator backend {name!r}; available: "
             f"{sorted(BACKENDS)}")
@@ -118,7 +122,7 @@ def get_default_backend() -> str:
 def use_backend(name: Optional[str]) -> Iterator[Optional[str]]:
     """Temporarily switch the ambient default backend::
 
-        with use_backend("fast"):
+        with use_backend("columnar"):
             result = run_apsp(g)
 
     ``use_backend(None)`` is a no-op, so callers threading an *optional*
@@ -140,17 +144,16 @@ def make_network(graph: Any, program_factory: Callable[[int], Program],
                  *, backend: Optional[str] = None, **kwargs: Any):
     """Construct a simulator network on the selected backend.
 
-    ``backend`` is a :data:`BACKENDS` name (``"reference"``, ``"fast"``,
-    ``"columnar"``) or ``None`` (use the ambient default).  Every hook
-    kwarg is honored by every backend, so selection never depends on
-    the hooks a call carries.
+    ``backend`` is a :data:`BACKENDS` name (``"reference"``,
+    ``"columnar"``), the deprecated alias ``"fast"``, or ``None`` (use
+    the ambient default).  Every hook kwarg is honored by every
+    backend, so selection never depends on the hooks a call carries.
     """
     name = _validated(backend) if backend is not None else _resolved_default()
-    return BACKENDS[name](graph, program_factory, **kwargs)
+    return BACKENDS[ALIASES.get(name, name)](graph, program_factory, **kwargs)
 
 
 __all__ = [
-    "BACKENDS", "BackendUnsupported", "ColumnarNetwork", "FastNetwork",
-    "make_network", "set_default_backend", "get_default_backend",
-    "use_backend",
+    "ALIASES", "BACKENDS", "ColumnarNetwork", "make_network",
+    "set_default_backend", "get_default_backend", "use_backend",
 ]

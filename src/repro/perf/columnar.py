@@ -1,10 +1,11 @@
 """The columnar bulk-synchronous simulator backend.
 
 :class:`ColumnarNetwork` is the third registered backend
-(``backend="columnar"`` / ``REPRO_BACKEND=columnar``).  Where the fast
-backend removed the reference loop's per-round O(n) scans (PR 3-4) and
-the node-state kernels removed the per-entry list scans (PR 5), the
-remaining per-message cost on the hot path is *Python object traffic*:
+(``backend="columnar"`` / ``REPRO_BACKEND=columnar``).  The object
+loop (:meth:`repro.congest.network.Network.run`) costs O(active nodes)
+per round and the node-state kernels removed the per-entry list scans,
+so the remaining per-message cost on the hot path is *Python object
+traffic*:
 an :class:`~repro.congest.message.Envelope` allocation, a payload tuple,
 a ``Counter`` update, and several method calls for every single message.
 At n in the tens of thousands that object traffic dominates wall-clock.
@@ -51,11 +52,11 @@ exact state the reference execution would have left behind.
 
 Programs outside the vectorizable families -- and any run with a fault
 plan, monitor, or record window attached, or a traced relaxation run --
-execute on the inherited event-driven loop
-(:class:`~repro.perf.fast_network.FastNetwork`), which honors the full
-hook surface with reference semantics.  The pipelined kernel honors a
+execute on the inherited object loop
+(:meth:`repro.congest.network.Network.run`), which honors the full
+hook surface.  The pipelined kernel honors a
 ``tracer`` (and the programs' own trace recorder and ``sent_at``
-recording) itself, emitting the event stream the worklist loop would.
+recording) itself, emitting the event stream the object loop would.
 That is the explicit-vs-ambient rule of :mod:`repro.perf.backends`
 taken seriously: an explicit
 ``backend="columnar"`` must never silently diverge, so the bulk path is
@@ -71,7 +72,8 @@ numpy is optional.  The bulk kernels have two interchangeable
 implementations -- vectorized numpy and a batched pure-Python fallback
 (no per-message objects either way) -- selected by the
 ``REPRO_COLUMNAR_NUMPY`` feature flag (``0`` forces the fallback and
-``1`` requires numpy, raising if it is missing, both at every size).
+``1`` requires numpy, raising ``ValueError`` if it is missing, both at
+every size).
 ``auto`` (unset) uses numpy iff importable, except that the pipelined
 kernel also weighs the graph's size: below
 :data:`~repro.perf.columnar_pipelined.NUMPY_MIN_EDGES` CSR edges its
@@ -87,8 +89,8 @@ from math import inf as _INF
 from time import perf_counter as _perf
 from typing import Any, List, Optional, Type
 
+from ..congest.network import Network, RoundLimitExceeded
 from ..obs.profiling import HOT as _HOT
-from .fast_network import BackendUnsupported, FastNetwork, RoundLimitExceeded
 
 # ---------------------------------------------------------------------------
 # numpy feature gate
@@ -131,9 +133,8 @@ def numpy_forced() -> Optional[bool]:
         return False
     if env in ("1", "true", "yes", "on"):
         if _numpy() is None:
-            # BackendUnsupported is a RuntimeError the CLI maps to a
-            # clean ``error: ...`` + exit 2 instead of a traceback
-            raise BackendUnsupported(
+            # the CLI maps ValueError to ``error: ...`` + exit 2
+            raise ValueError(
                 "REPRO_COLUMNAR_NUMPY=1 requires numpy, which is not "
                 "importable; unset it (or set 0) for the pure-Python "
                 "columnar fallback")
@@ -218,8 +219,8 @@ class _RelaxationKernel:
     and materializes the columns back into the program objects in a
     ``finally`` -- so between ``run()`` calls the programs remain the
     single source of truth (outputs, resumption, checkpoints, and
-    post-mortems never see kernel-private state), exactly as the fast
-    backend rebuilds its worklist heap on every entry.
+    post-mortems never see kernel-private state), exactly as the object
+    loop rebuilds its send schedule on every entry.
     """
 
     @staticmethod
@@ -565,7 +566,7 @@ COLUMNAR_KERNELS: List[Type[_RelaxationKernel]] = [_RelaxationKernel]
 _UNSET: Any = object()
 
 
-class ColumnarNetwork(FastNetwork):
+class ColumnarNetwork(Network):
     """Drop-in columnar backend (see the module docstring).
 
     Same constructor, validation errors, hooks, resumption, and
@@ -573,8 +574,8 @@ class ColumnarNetwork(FastNetwork):
     :class:`~repro.congest.network.Network`; programs the bulk kernels
     cannot vectorize -- and runs with a fault plan, monitor, ring
     recorder, or (relaxation family only) a tracer -- execute on the
-    inherited event-driven loop, so ``backend="columnar"`` is always
-    honored and never silently diverges.
+    inherited object loop, so ``backend="columnar"`` is always honored
+    and never silently diverges.
     """
 
     #: Memoized static-eligibility verdict (a kernel instance or None);
@@ -592,13 +593,12 @@ class ColumnarNetwork(FastNetwork):
 
         A fault plan, ring recorder (``record_window``) or monitor
         observes (or perturbs) per-envelope state that the bulk engines
-        deliberately never materialize, so those runs take the
-        instrumented loop with reference semantics.  A ``tracer`` is
-        honored by the pipelined kernel, which emits the worklist
-        loop's event stream itself; the relaxation kernel declines it
-        in its :meth:`~_RelaxationKernel.revalidate`.  ``registry`` and
-        HOT profiling only need per-round timing and are honored on
-        every path.
+        deliberately never materialize, so those runs take the object
+        loop.  A ``tracer`` is honored by the pipelined kernel, which
+        emits the object loop's event stream itself; the relaxation
+        kernel declines it in its :meth:`~_RelaxationKernel.revalidate`.
+        ``registry`` and HOT profiling only need per-round timing and
+        are honored on every path.
 
         Hooks are re-checked at every entry (they can be attached to an
         existing network between runs); the O(n + m) static scan over
@@ -625,7 +625,7 @@ class ColumnarNetwork(FastNetwork):
     def run(self, max_rounds: int):
         kernel = self._columnar_kernel()
         if kernel is None:
-            return FastNetwork.run(self, max_rounds)
+            return Network.run(self, max_rounds)
         return kernel.run(max_rounds)
 
 

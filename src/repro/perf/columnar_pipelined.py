@@ -108,10 +108,10 @@ from time import perf_counter as _perf
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..congest.events import TraceEvent as _TE
+from ..congest.network import RoundLimitExceeded
 from ..core import node_list as _node_list
 from ..core.keys import RationalGamma, key_of, next_send_after
 from ..obs.profiling import HOT as _HOT
-from .fast_network import RoundLimitExceeded
 from . import columnar as _cmod
 
 _Key = Tuple[float, int, int]
@@ -563,7 +563,7 @@ class _PipelinedKernel:
                     self._pev = pev
 
                 # Step 1: collect the round's senders (ascending node id,
-                # matching the fast backend's pop order) and their
+                # matching the object loop's sender order) and their
                 # payload columns.  The firing entry is the cached index;
                 # nu is two bisects (global run start + per-source rank).
                 senders: List[int] = []

@@ -280,7 +280,7 @@ EXPERIMENT_SWEEPS: Dict[str, SweepSpec] = {
     "E17": SweepSpec(
         "repro.analysis.experiments:sweep_ksource_short_range"),
     "E18": SweepSpec("repro.analysis.sweep:sweep_fault_tolerance"),
-    "E19": SweepSpec("repro.analysis.sweep:sweep_backend_speedup",
+    "E19": SweepSpec("repro.analysis.sweep:sweep_idle_nodes",
                      seed_splittable=False),  # wall-clock timing: one task
     "E20": SweepSpec("repro.analysis.sweep:sweep_node_kernels",
                      seed_splittable=False),  # wall-clock timing: one task

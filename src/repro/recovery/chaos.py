@@ -16,9 +16,11 @@ then executed twice:
   Dijkstra lower bound.
 
 After every batch, both tables are checked against a fresh Dijkstra run
-on the updated graph; :func:`run_chaos_campaign` additionally executes
-each case on both simulator backends and requires bit-identical
-:meth:`~repro.recovery.DynamicRun.digest` values.  The fault plans stay
+on the updated graph; :func:`run_chaos_campaign` additionally requires
+each default-sized case's :meth:`~repro.recovery.DynamicRun.digest`
+values to equal the committed :data:`PINNED_DIGESTS` (fault runs never
+reach a columnar kernel, so a second backend would only re-run the same
+object loop).  The fault plans stay
 inside the recovery layer's contract -- no drops or corruption (those
 need the ack/retransmit layer, which must NOT be composed with
 checkpoint rollback; see docs/RECOVERY.md).
@@ -226,37 +228,46 @@ def run_chaos_case(case: ChaosCase, *,
         records=records)
 
 
+#: ``seed -> (digest_recoverable, digest_pipelined)`` of the default
+#: :class:`ChaosCase` for that seed, recorded on the reference backend.
+PINNED_DIGESTS: Dict[int, Tuple[str, str]] = {
+    0: ("54d981a8b236631331d7903a7ebab9a9d0fca2af774dbc6333e72d892a8cea7b",
+        "2ad5eecc66effc4ee68cd846f28662b1577901271c7fc6611d574dfd0b8b6d17"),
+    1: ("8d26375354e709089e54c222ad7cbc9735869e0c49fcd55a97cc691a0a99de21",
+        "d7f70105a9b020d72c76288066bd871bd7ca5deca6c7260d9baec8ac9e818259"),
+    2: ("96e7b3cba7f87e34f8d85855c34700d65dbfc7c37b6802ac3892f7879e041e15",
+        "1ba8f0e1507e7336a21831fadcb0c8fb4b7ee497f2cdcae56f2872995c968363"),
+}
+
+
 def run_chaos_campaign(seeds: Sequence[int] = (0, 1, 2), *,
-                       case_kwargs: Optional[Dict[str, Any]] = None,
-                       backends: Sequence[str] = ("reference", "fast")
+                       case_kwargs: Optional[Dict[str, Any]] = None
                        ) -> List[Dict[str, Any]]:
-    """Run every seed on every backend; raise ``AssertionError`` on any
-    oracle mismatch or cross-backend digest divergence.  Returns one
+    """Run every seed on the reference backend; raise ``AssertionError``
+    on any oracle mismatch or any digest that differs from
+    :data:`PINNED_DIGESTS` (default-sized cases only).  Returns one
     summary row per seed."""
     rows: List[Dict[str, Any]] = []
     for seed in seeds:
         case = ChaosCase(seed=seed, **(case_kwargs or {}))
-        outcomes = [run_chaos_case(case, backend=b) for b in backends]
-        for out in outcomes:
-            assert out.ok, (
-                f"chaos seed {seed} backend {out.backend}: "
-                f"{out.mismatches} oracle mismatches after updates")
-        first = outcomes[0]
-        for out in outcomes[1:]:
-            assert out.digest_recoverable == first.digest_recoverable, (
-                f"chaos seed {seed}: recoverable digest diverged between "
-                f"{first.backend} ({first.digest_recoverable[:12]}) and "
-                f"{out.backend} ({out.digest_recoverable[:12]})")
-            assert out.digest_pipelined == first.digest_pipelined, (
-                f"chaos seed {seed}: pipelined digest diverged between "
-                f"{first.backend} and {out.backend}")
+        out = run_chaos_case(case, backend="reference")
+        assert out.ok, (
+            f"chaos seed {seed}: {out.mismatches} oracle mismatches "
+            f"after updates")
+        pinned = PINNED_DIGESTS.get(seed) \
+            if case == ChaosCase(seed=seed) else None
+        if pinned is not None:
+            got = (out.digest_recoverable, out.digest_pipelined)
+            assert got == pinned, (
+                f"chaos seed {seed}: digests {got[0][:12]}/{got[1][:12]} "
+                f"differ from the pinned {pinned[0][:12]}/{pinned[1][:12]}")
         rows.append({
             "seed": seed,
-            "backends": ",".join(backends),
-            "batches": len(first.records),
-            "affected_total": sum(len(r.affected) for r in first.records),
-            "rounds_to_repair": first.rounds_to_repair,
-            "digest": first.digest_recoverable[:12],
+            "batches": len(out.records),
+            "affected_total": sum(len(r.affected) for r in out.records),
+            "rounds_to_repair": out.rounds_to_repair,
+            "digest": out.digest_recoverable[:12],
+            "pinned": int(pinned is not None),
             "ok": 1,
         })
     return rows
@@ -266,7 +277,7 @@ def main(argv: Optional[Sequence[int]] = None) -> int:
     import argparse
 
     parser = argparse.ArgumentParser(
-        description="run a seeded chaos campaign on both backends")
+        description="run a seeded chaos campaign with pinned digests")
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     parser.add_argument("--n", type=int, default=9)
     parser.add_argument("--batches", type=int, default=2)
@@ -275,8 +286,9 @@ def main(argv: Optional[Sequence[int]] = None) -> int:
         args.seeds, case_kwargs={"n": args.n, "batches": args.batches})
     for row in rows:
         print("  ".join(f"{k}={v}" for k, v in row.items()))
-    print(f"chaos campaign OK: {len(rows)} seeds x reference+fast, "
-          f"all oracle-verified, digests bit-identical")
+    pinned = sum(row["pinned"] for row in rows)
+    print(f"chaos campaign OK: {len(rows)} seeds, all oracle-verified, "
+          f"{pinned} digest pairs equal to the pinned values")
     return 0
 
 

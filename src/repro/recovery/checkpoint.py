@@ -251,10 +251,10 @@ class RunCheckpoint:
     """A whole execution frozen mid-run: program states, network core
     state, in-flight envelopes, fault statistics, and metrics.
 
-    Backend-agnostic by construction -- neither backend's scheduling
-    structures appear here (both rebuild them from the programs), so a
-    checkpoint captured on the reference backend restores onto the fast
-    one and vice versa.
+    Backend-agnostic by construction -- no backend's scheduling
+    structures appear here (each rebuilds them from the programs), so a
+    checkpoint captured on the reference backend restores onto the
+    columnar one and vice versa.
     """
 
     round: int

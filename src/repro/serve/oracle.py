@@ -107,8 +107,8 @@ class DistanceOracle:
         swaps independently on refresh (default: ~sqrt(k), capped so a
         shard never goes empty).
     method / backend:
-        Passed to :func:`repro.core.api.k_ssp` per shard -- the fast
-        backend serves strictly fresher tables for the same wall-clock.
+        Passed to :func:`repro.core.api.k_ssp` per shard -- the
+        columnar backend builds the same tables in less wall-clock.
     cache_size:
         LRU route-cache capacity (0 disables caching).
     registry:

@@ -1,21 +1,20 @@
 """Differential harness pinning the alternative simulator backends to
 the reference one.
 
-A non-reference backend (:class:`repro.perf.FastNetwork`,
-:class:`repro.perf.ColumnarNetwork`, or any future entry in
-:data:`repro.perf.backends.BACKENDS`) is only allowed to exist because
-nothing observable distinguishes it from the reference
+A non-reference backend (:class:`repro.perf.ColumnarNetwork`, or any
+future entry in :data:`repro.perf.backends.BACKENDS`) is only allowed
+to exist because nothing observable distinguishes it from the reference
 :class:`repro.congest.Network`: same per-node outputs, same round
 counts, same message/word/congestion accounting, envelope for envelope
 -- and, since the backends gained full hook support, the same fault
 statistics, invariant-monitor verdicts, trace event streams, and
 post-mortem contents.  This module is the single place that comparison
 is defined, so the registry-parametrized conformance suite
-(tests/backend_conformance.py), the golden fixtures, and the E19/E23
+(tests/backend_conformance.py), the golden fixtures, and the E23/E24
 speedup sweeps all enforce the *same* notion of "identical".
 
 Each assertion helper takes ``backend=`` (a registry name, default
-``"fast"``) naming the backend under test; the reference backend is
+``"columnar"``) naming the backend under test; the reference backend is
 always the other side of the comparison.  Three entry points:
 
 * :func:`assert_networks_equivalent` -- construct both backends from one
@@ -39,8 +38,17 @@ from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 from repro.congest import Network, RoundLimitExceeded, RunMetrics
 from repro.faults.monitor import InvariantViolation
 from repro.obs import Tracer
-from repro.perf import FastNetwork
-from repro.perf.backends import BACKENDS
+from repro.perf.backends import ALIASES, BACKENDS
+
+#: Every name ``backend=`` accepts: the engines plus the deprecated
+#: ``"fast"`` alias, so suites parametrized over it keep the alias
+#: exercised end to end.
+BACKEND_NAMES = sorted({*BACKENDS, *ALIASES})
+
+
+def network_class(name: str):
+    """The network class a backend name (or alias) selects."""
+    return BACKENDS[ALIASES.get(name, name)]
 
 
 def metrics_summary(m: RunMetrics) -> Dict[str, Any]:
@@ -68,7 +76,7 @@ def metrics_summary(m: RunMetrics) -> Dict[str, Any]:
 
 
 def assert_metrics_equal(got_m: RunMetrics, ref_m: RunMetrics,
-                         label: str = "", backend: str = "fast") -> None:
+                         label: str = "", backend: str = "columnar") -> None:
     got, want = metrics_summary(got_m), metrics_summary(ref_m)
     assert got == want, (
         f"{backend} backend diverged from reference on metrics"
@@ -102,7 +110,7 @@ def post_mortem_summary(pm) -> Optional[Dict[str, Any]]:
 
 
 def assert_networks_equivalent(graph, program_factory, *, max_rounds: int,
-                               backend: str = "fast",
+                               backend: str = "columnar",
                                **kwargs) -> Tuple[Network, Any]:
     """Run the same program on the reference backend and on *backend*;
     assert equal outputs and equal metrics summaries.
@@ -110,7 +118,7 @@ def assert_networks_equivalent(graph, program_factory, *, max_rounds: int,
     build fresh program state each call (every factory in this repo
     does).  Returns both networks for follow-up assertions."""
     ref = Network(graph, program_factory, **kwargs)
-    alt = BACKENDS[backend](graph, program_factory, **kwargs)
+    alt = network_class(backend)(graph, program_factory, **kwargs)
     m_ref = ref.run(max_rounds=max_rounds)
     m_alt = alt.run(max_rounds=max_rounds)
     assert alt.outputs() == ref.outputs(), \
@@ -159,7 +167,7 @@ def assert_instrumented_equivalent(graph, program_factory, *,
                                    max_rounds: int,
                                    fault_plan=None, monitor_factory=None,
                                    with_tracer=False, record_window: int = 0,
-                                   backend: str = "fast",
+                                   backend: str = "columnar",
                                    **kwargs) -> Dict[str, Any]:
     """Run the reference backend and *backend* with the given hooks
     attached and assert every observation -- including the failure mode
@@ -170,7 +178,7 @@ def assert_instrumented_equivalent(graph, program_factory, *,
                        monitor_factory=monitor_factory,
                        with_tracer=with_tracer,
                        record_window=record_window, **kwargs)
-    alt = run_observed(BACKENDS[backend], graph, program_factory,
+    alt = run_observed(network_class(backend), graph, program_factory,
                        max_rounds=max_rounds, fault_plan=fault_plan,
                        monitor_factory=monitor_factory,
                        with_tracer=with_tracer,
@@ -185,7 +193,7 @@ def assert_instrumented_equivalent(graph, program_factory, *,
 
 def assert_entrypoint_equivalent(run: Callable[..., Any], *args,
                                  compare: Sequence[str] = ("dist",),
-                                 backend: str = "fast",
+                                 backend: str = "columnar",
                                  **kwargs) -> Tuple[Any, Any]:
     """Run ``run(*args, backend=..., **kwargs)`` on the reference
     backend and on *backend*, and assert the fields named in

@@ -216,14 +216,16 @@ class TestFaults:
 
 
 class TestBackendFlag:
-    """`--backend fast` on the instrumented commands: accepted, honored,
-    identical output -- and backend errors stay one-line, exit 2."""
+    """`--backend fast`, the deprecated alias of `reference`, on the
+    instrumented commands: accepted with a DeprecationWarning, identical
+    output -- and backend errors stay one-line, exit 2."""
 
     def test_faults_backend_fast_matches_reference(self, graph_file):
         args = ("faults", graph_file, "--fault-seed", "2",
                 "--drop-rate", "0.2", "--delay-rate", "0.2", "-q")
         rc_ref, out_ref = run_cli(*args, "--backend", "reference")
-        rc_fast, out_fast = run_cli(*args, "--backend", "fast")
+        with pytest.warns(DeprecationWarning, match="'fast'"):
+            rc_fast, out_fast = run_cli(*args, "--backend", "fast")
         assert rc_ref == 0
         assert (rc_fast, out_fast) == (rc_ref, out_ref)
 
@@ -234,23 +236,23 @@ class TestBackendFlag:
         assert rc == 0
         assert "RESULT: correct" in out
 
-    def test_backend_unsupported_is_clean_error(self, graph_file, capsys,
-                                                monkeypatch):
-        """Nothing raises BackendUnsupported today; pin that if a future
-        backend limitation does, the CLI reports it as a one-line error
-        instead of a traceback."""
-        from repro.perf import BackendUnsupported
-        import repro.perf.backends as backends
-
-        def refuse(*a, **k):
-            raise BackendUnsupported(
-                "backend 'fast' cannot honor hook 'quantum_oracle'")
-        monkeypatch.setitem(backends.BACKENDS, "fast", refuse)
-        rc, _ = run_cli("faults", graph_file, "--backend", "fast", "-q")
+    def test_numpy_forced_without_numpy_is_clean_error(self, graph_file,
+                                                       capsys, monkeypatch):
+        """REPRO_COLUMNAR_NUMPY=1 with numpy hidden: the library raises a
+        ValueError naming the variable, and the CLI turns it into one
+        ``error:`` line and exit 2."""
+        from repro.perf import columnar
+        monkeypatch.setenv("REPRO_COLUMNAR_NUMPY", "1")
+        monkeypatch.setattr(columnar, "_numpy_override", None)
+        monkeypatch.setattr(columnar, "_np", None)
+        monkeypatch.setattr(columnar, "_np_checked", True)
+        with pytest.raises(ValueError, match="REPRO_COLUMNAR_NUMPY=1"):
+            columnar.numpy_forced()
+        rc, _ = run_cli("apsp", graph_file, "--backend", "columnar", "-q")
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "cannot honor" in err
+        assert err.startswith("error: REPRO_COLUMNAR_NUMPY=1 requires numpy")
+        assert err.count("\n") == 1
 
     def test_env_typo_is_clean_error_at_first_simulation(self, graph_file,
                                                          capsys, monkeypatch):
@@ -267,7 +269,7 @@ class TestServeCommand:
     def test_serve_bench_reports_speedup(self, graph_file):
         rc, out = run_cli("serve", "bench", graph_file,
                           "--queries", "800", "--seed", "7",
-                          "--backend", "fast", "--jobs", "2")
+                          "--backend", "columnar", "--jobs", "2")
         assert rc == 0
         assert "queries/sec" in out
         assert "speedup" in out and "hit rate" in out

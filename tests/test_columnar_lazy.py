@@ -137,7 +137,7 @@ def test_run_leaves_the_list_parked(name, impl):
     """Right after a kernel run no list is built: ``best`` and the stats
     are current, ``list_v`` is absent from the instance and no entry
     column has been loaded back."""
-    ref = run(build("fast", name))
+    ref = run(build("reference", name))
     net = build("columnar", name)
     assert engaged(net)
     loads = []
@@ -169,7 +169,7 @@ def test_run_leaves_the_list_parked(name, impl):
 
 @instances
 def test_list_columns_equal_worklist(name, impl):
-    ref = run(build("fast", name))
+    ref = run(build("reference", name))
     net = run(build("columnar", name))
     for p, q in zip(net.programs, ref.programs):
         assert export_entry_columns(p.list_v) \
@@ -181,7 +181,7 @@ def test_list_columns_equal_worklist(name, impl):
 def test_best_entry_before_the_list(name, impl):
     """The first access is a ``SourceBest.entry``: it builds the list,
     and the entry is the list's flagged entry of its source."""
-    ref = run(build("fast", name))
+    ref = run(build("reference", name))
     net = run(build("columnar", name))
     for p, q in zip(net.programs, ref.programs):
         for x, b in p.best.items():
@@ -200,20 +200,20 @@ def test_best_entry_before_the_list(name, impl):
 def test_capture_state_equals_worklist(name, impl):
     """A checkpoint snapshot of a parked program is the snapshot of a
     worklist program, and restores onto a fresh program."""
-    ref = run(build("fast", name))
+    ref = run(build("reference", name))
     net = run(build("columnar", name))
     for v, (p, q) in enumerate(zip(net.programs, ref.programs)):
         kind, state = capture_state(p)
         assert kind == "attrs"
         assert state_view(state) == state_view(capture_state(q)[1])
-        fresh = build("fast", name).programs[v]
+        fresh = build("reference", name).programs[v]
         restore_state(fresh, (kind, state))
         assert state_view(vars(fresh)) == state_view(vars(q))
 
 
 @instances
 def test_pickle_and_deepcopy_equal_worklist(name, impl):
-    ref = run(build("fast", name))
+    ref = run(build("reference", name))
     want = views(ref)
     for copier in (lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy):
         net = run(build("columnar", name))
@@ -222,7 +222,7 @@ def test_pickle_and_deepcopy_equal_worklist(name, impl):
 
 
 def test_send_history_equals_worklist(impl):
-    ref = run(build("fast", "record-sends"))
+    ref = run(build("reference", "record-sends"))
     net = run(build("columnar", "record-sends"))
     got = [send_history(p) for p in net.programs]
     assert got == [send_history(q) for q in ref.programs]
@@ -242,7 +242,7 @@ def test_resumed_run(name, impl, access):
         for p in net.programs[:3] if access == "some" else net.programs:
             p.list_v
 
-    ref = run(build("fast", name), budgets,
+    ref = run(build("reference", name), budgets,
               None if access == "none" else touch)
     exports = []
     orig = node_list_mod.export_entry_columns
@@ -271,13 +271,13 @@ def test_resumed_run(name, impl, access):
     assert metrics_summary(net.metrics) == metrics_summary(ref.metrics)
     assert views(net) == views(ref)
     # and both equal the uninterrupted run
-    assert views(net) == views(run(build("fast", name)))
+    assert views(net) == views(run(build("reference", name)))
 
 
 def test_worklist_run_after_a_kernel_run(impl):
     """A parked network that leaves the kernel (paranoid mode) builds
     its lists on the way and ends like a worklist run."""
-    ref = run(build("fast", "directed"), (6, 10 ** 6))
+    ref = run(build("reference", "directed"), (6, 10 ** 6))
     net = build("columnar", "directed")
     with pytest.raises(RoundLimitExceeded):
         net.run(max_rounds=6)
@@ -392,7 +392,7 @@ def test_receiver_whose_arrivals_are_all_dropped(impl):
     from repro.graphs import WeightedDigraph
     g = WeightedDigraph.from_edges(2, [(0, 1, 3), (1, 0, 2)])
     factory = lambda v: PipelinedSSPProgram(v, (0,), 1, 1.0)
-    ref = make_network(g, factory, backend="fast")
+    ref = make_network(g, factory, backend="reference")
     net = make_network(g, factory, backend="columnar")
     assert engaged(net)
     run(ref)

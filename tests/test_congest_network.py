@@ -1,9 +1,14 @@
 """Tests of the synchronous round simulator: delivery timing, model
-constraint enforcement, quiescence, fast-forward correctness."""
+constraint enforcement, quiescence, fast-forward correctness, the send
+schedule's contract, and its cost in idle nodes."""
 
+import random
 from typing import List, Optional
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import graph_instances
 
 from repro.congest import (
     CongestionError,
@@ -299,3 +304,94 @@ class TestRunResumption:
         net.run(max_rounds=10)
         net.run(max_rounds=10)
         assert sorted(starts) == [0, 1, 2]
+
+
+class RandomScheduler(Program):
+    """Asks for random future rounds (or none) and logs every send
+    phase, every receive phase, and the round it last asked for."""
+
+    def __init__(self, v: int, seed: int, log: list) -> None:
+        self.v = v
+        self.rng = random.Random(seed * 1009 + v)
+        self.sends_left = self.rng.randint(0, 4)
+        self.asked: Optional[int] = None
+        self.log = log
+
+    def on_send(self, ctx, r):
+        self.log.append(("send", r, self.v, self.asked))
+        self.sends_left -= 1
+        if ctx.comm_neighbors and self.rng.random() < 0.7:
+            ctx.broadcast(r)
+
+    def on_receive(self, ctx, r, inbox):
+        self.log.append(("recv", r, self.v, None))
+
+    def next_active_round(self, ctx, r):
+        if self.sends_left > 0 and self.rng.random() < 0.8:
+            self.asked = r + self.rng.randint(1, 6)
+        else:
+            self.asked = None
+        return self.asked
+
+
+class TestScheduleContract:
+    """The send schedule runs each node exactly at the round it last
+    asked for, in increasing id within a round, delivers every delayed
+    envelope at its due round, and runs no round that has neither a due
+    sender nor an injector delivery."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(graph_instances(n_lo=1, n_hi=9), st.integers(0, 10 ** 6),
+           st.booleans())
+    def test_sends_run_exactly_when_asked(self, inst, seed, delayed):
+        from repro.faults import FaultPlan
+        from repro.obs import Tracer
+
+        g, _ = inst
+        log: list = []
+        plan = FaultPlan(seed=seed, delay_rate=0.5, max_delay=4) \
+            if delayed else None
+        tracer = Tracer()
+        net = Network(g, lambda v: RandomScheduler(v, seed, log),
+                      fault_plan=plan, tracer=tracer)
+        injector = net.fault_injector
+        if injector is not None:
+            take_due = injector.take_due
+
+            def take_due_checked(r):
+                due = injector.earliest_in_flight()
+                assert due is None or due >= r, f"round {due} skipped"
+                return take_due(r)
+            injector.take_due = take_due_checked
+        net.run(max_rounds=10 ** 4)
+
+        sends = [(r, v) for kind, r, v, _ in log if kind == "send"]
+        for kind, r, v, asked in log:
+            if kind == "send":
+                assert r == asked, f"node {v} ran at {r}, asked {asked}"
+        assert sends == sorted(sends), "senders out of (round, id) order"
+        assert len(set(sends)) == len(sends), "a node ran twice in a round"
+        # quiescence means nobody is left waiting for a round
+        assert all(p.asked is None for p in net.programs)
+
+        executed = [e.round for e in tracer.events if e.kind == "net.round"]
+        assert executed == sorted(set(executed))
+        active = {r for kind, r, _, _ in log}
+        assert set(executed) == active
+        if plan is None:
+            assert set(executed) == {r for r, _ in sends}
+
+
+class TestIdleNodes:
+    def test_run_time_follows_active_nodes_not_n(self):
+        """E19's check: 20,000 isolated nodes next to a pair bouncing a
+        token for 3,000 rounds may cost at most 3x the pair alone (only
+        ``run()`` timed, best of 3).  The schedule is O(active nodes)
+        per round, so only the O(n) start-up pass grows; a loop scanning
+        every node each round is about 100x slower here."""
+        from repro.analysis.sweep import sweep_idle_nodes
+
+        rep = sweep_idle_nodes(idle=(20_000,), rounds=3_000, repeats=3,
+                               max_ratio=3.0)
+        (row,) = rep.rows
+        assert row.within_bound, f"idle nodes cost {row.measured}x"

@@ -8,12 +8,14 @@ unstable.  Two independent runs must agree on everything measurable.
 
 import pytest
 
+from differential import BACKEND_NAMES, network_class
 from repro.perf.backends import BACKENDS
 
-#: Every registered backend except the reference itself: each must
-#: reproduce the reference digests bit for bit.  Derived from the
-#: registry so a new backend is covered the moment it is registered.
-ALT_BACKENDS = sorted(b for b in BACKENDS if b != "reference")
+#: Every backend name except the reference itself (the deprecated
+#: ``"fast"`` alias included): each must reproduce the reference
+#: digests bit for bit.  Derived from the registry so a new backend is
+#: covered the moment it is registered.
+ALT_BACKENDS = [b for b in BACKEND_NAMES if b != "reference"]
 
 from repro.core import (
     run_approx_apsp,
@@ -100,7 +102,7 @@ def instrumented_digest(backend):
     g = random_graph(12, p=0.35, w_max=8, zero_fraction=0.2, seed=9)
     plan = FaultPlan(seed=4, drop_rate=0.1, duplicate_rate=0.15,
                      delay_rate=0.2, corrupt_rate=0.05, max_delay=4)
-    obs = run_observed(BACKENDS[backend], g,
+    obs = run_observed(network_class(backend), g,
                        lambda v: BellmanFordProgram(v, 0),
                        max_rounds=800, fault_plan=plan, with_tracer=True,
                        record_window=3)

@@ -1,6 +1,8 @@
-"""Contract tests for the fast simulator backend beyond the
-differential harness: constructor parity, hook support, resumption,
-registry publishing, and backend selection semantics."""
+"""Contract tests for ``FastNetwork`` and ``backend="fast"``, the
+deprecated aliases of the object loop (``Network``): constructor
+validation, hook support, resumption, registry publishing, and backend
+selection -- including the alias's DeprecationWarning and its name
+being kept as given."""
 
 import os
 import subprocess
@@ -11,8 +13,8 @@ import pytest
 from repro.congest import Network, RoundLimitExceeded
 from repro.faults import FaultPlan
 from repro.obs import MetricsRegistry, Tracer
+import repro.perf
 from repro.perf import (
-    BackendUnsupported,
     FastNetwork,
     get_default_backend,
     make_network,
@@ -26,8 +28,8 @@ from test_congest_network import Pinger, Relay, line
 def clean_backend(monkeypatch):
     """Run with no ambient backend chosen and no REPRO_BACKEND set, so
     selection-precedence assertions hold even when the surrounding test
-    process exports REPRO_BACKEND=fast (the CI matrix does exactly
-    that).  monkeypatch restores both afterwards."""
+    process exports REPRO_BACKEND.  monkeypatch restores both
+    afterwards."""
     from repro.perf import backends
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
     monkeypatch.setattr(backends, "_default_backend", None)
@@ -110,13 +112,13 @@ class TestHookSupport:
         assert "node" in pm.render()
 
     def test_nothing_raises_backend_unsupported(self):
-        """The unsupported set is empty: the historically-refused hook
-        combinations all construct (and run) now."""
+        """No hook combination is refused, and the public API has no
+        refusal exception."""
         net = FastNetwork(line(3), Pinger,
                           fault_plan=FaultPlan(seed=1, drop_rate=0.5),
                           monitor=None, tracer=Tracer(), record_window=3)
         net.run(max_rounds=10)
-        assert issubclass(BackendUnsupported, RuntimeError)  # still public API
+        assert not hasattr(repro.perf, "BackendUnsupported")
 
 
 class TestResumption:
@@ -219,31 +221,35 @@ class TestBackendSelection:
         assert isinstance(make_network(line(3), Relay), Network)
 
     def test_explicit_fast(self):
-        assert isinstance(make_network(line(3), Relay, backend="fast"),
-                          FastNetwork)
+        assert FastNetwork is Network
+        with pytest.warns(DeprecationWarning, match="'fast' is deprecated"):
+            net = make_network(line(3), Relay, backend="fast")
+        assert type(net) is Network
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown simulator backend"):
             make_network(line(3), Relay, backend="turbo")
 
     def test_explicit_fast_with_hooks_constructs_fast(self):
-        """Hooks no longer influence selection: an explicit fast request
-        with a tracer gets a FastNetwork, not an error."""
-        net = make_network(line(3), Relay, backend="fast", tracer=Tracer())
-        assert isinstance(net, FastNetwork)
+        """Hooks do not influence selection: an explicit fast request
+        with a tracer gets the object loop, not an error."""
+        with pytest.warns(DeprecationWarning):
+            net = make_network(line(3), Relay, backend="fast",
+                               tracer=Tracer())
+        assert type(net) is Network
 
     def test_ambient_fast_with_hooks_stays_fast(self):
-        """The old silent fall-back to the reference backend for
-        instrumented ambient calls is gone."""
-        with use_backend("fast"):
+        """An ambient alias is honored with any hooks attached."""
+        with pytest.warns(DeprecationWarning), use_backend("fast"):
             net = make_network(line(3), Relay, tracer=Tracer(),
                                fault_plan=FaultPlan(seed=1, drop_rate=0.2),
                                record_window=2)
-        assert isinstance(net, FastNetwork)
+        assert type(net) is Network
 
     def test_ambient_fast_without_hooks_sticks(self, clean_backend):
-        with use_backend("fast"):
-            assert isinstance(make_network(line(3), Relay), FastNetwork)
+        with pytest.warns(DeprecationWarning), use_backend("fast"):
+            assert get_default_backend() == "fast"  # kept as given
+            assert type(make_network(line(3), Relay)) is Network
         assert get_default_backend() == "reference"
 
     def test_use_backend_none_is_noop(self, clean_backend):
@@ -284,10 +290,13 @@ class TestEnvSelection:
 
     def test_env_fast(self):
         proc = self._run("fast",
+                         "import warnings; warnings.simplefilter('always'); "
                          "from repro.perf import get_default_backend; "
                          "print(get_default_backend())")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "fast"
+        assert "DeprecationWarning" in proc.stderr
+        assert "'fast' is deprecated" in proc.stderr
 
     def test_env_typo_import_survives(self):
         """Importing the package (and building the CLI parser -- what

@@ -23,12 +23,13 @@ import json
 
 import pytest
 
+from differential import BACKEND_NAMES
 from repro.congest import Network, RoundLimitExceeded
 from repro.core.bellman_ford import BellmanFordProgram
 from repro.faults import CrashWindow, FaultPlan
 from repro.graphs import random_graph
 from repro.graphs.reference import dijkstra
-from repro.perf.backends import BACKENDS, make_network
+from repro.perf.backends import make_network
 from repro.recovery import (
     CheckpointError,
     CheckpointStore,
@@ -47,9 +48,11 @@ from repro.recovery import (
     restore_network,
     restore_state,
     resume_from_checkpoint,
+    run_chaos_campaign,
     run_chaos_case,
     run_recoverable,
 )
+from repro.recovery import chaos
 from repro.recovery.chaos import ChaosCase
 
 INF = float("inf")
@@ -161,8 +164,8 @@ def _suspend(net, at_round):
 
 
 class TestRunCheckpoint:
-    @pytest.mark.parametrize("suspend_backend", sorted(BACKENDS))
-    @pytest.mark.parametrize("resume_backend", sorted(BACKENDS))
+    @pytest.mark.parametrize("suspend_backend", BACKEND_NAMES)
+    @pytest.mark.parametrize("resume_backend", BACKEND_NAMES)
     def test_resume_equals_uninterrupted(self, suspend_backend,
                                          resume_backend):
         g = random_graph(10, p=0.4, w_max=6, zero_fraction=0.2, seed=3)
@@ -272,7 +275,7 @@ class TestCrashRecovery:
         return FaultPlan(crashes=(CrashWindow(
             node, crash, restart, restart_from="checkpoint"),), **kwargs)
 
-    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
     def test_converges_to_dijkstra_after_rollback(self, backend):
         g = random_graph(10, p=0.4, w_max=6, zero_fraction=0.2, seed=3)
         true, _ = dijkstra(g, 0)
@@ -523,35 +526,54 @@ class TestDynamicRun:
 
 
 class TestCrashDuringUpdate:
-    """The issue's acceptance test: a dynamic run with a crash window in
-    the middle of an update batch converges to oracle-correct distances
-    on both backends, with bit-identical instrumented digests."""
+    """A dynamic run with a crash window in the middle of an update
+    batch converges to oracle-correct distances, with the instrumented
+    digest pinned to a committed value (fault runs never reach a
+    columnar kernel, so a second backend would only re-run the object
+    loop)."""
 
     def test_crash_during_update_pinned_across_backends(self):
         g = random_graph(12, p=0.35, w_max=6, zero_fraction=0.2, seed=4)
         plan = FaultPlan(
             seed=9, delay_rate=0.15, duplicate_rate=0.1, max_delay=2,
             crashes=(CrashWindow(3, 4, 10, restart_from="checkpoint"),))
-        digests = {}
-        for backend in ("reference", "fast"):
-            run = DynamicRun(g, [0, 5, 9], fault_plan=plan,
-                             checkpoint_every=4, backend=backend,
-                             monitor_factory=lambda gr, srcs:
-                             recovery_monitor(gr, srcs))
-            run.apply(EdgeUpdate(0, 1, 0), EdgeUpdate(2, 6, 9))
-            run.apply(NodeLeave(7))
-            assert run.oracle_check() == [], f"{backend} diverged"
-            assert run.metrics.rounds_to_repair > 0
-            digests[backend] = run.digest()
-        assert digests["reference"] == digests["fast"]
+        run = DynamicRun(g, [0, 5, 9], fault_plan=plan,
+                         checkpoint_every=4, backend="reference",
+                         monitor_factory=lambda gr, srcs:
+                         recovery_monitor(gr, srcs))
+        run.apply(EdgeUpdate(0, 1, 0), EdgeUpdate(2, 6, 9))
+        run.apply(NodeLeave(7))
+        assert run.oracle_check() == []
+        assert run.metrics.rounds_to_repair == 86
+        assert run.digest() == (
+            "043927cf5ccf946f5938850fd6bec4e70b2df76a8be9a9f963a83cd426100c7f")
+
+
+#: seed -> (digest_recoverable, digest_pipelined) of
+#: ChaosCase(seed, n=8, batches=2, events_per_batch=2).
+_CHAOS_DIGESTS = {
+    0: ("aabffca35fd3e32098ddf65063891a75f396ab04b07dbcb8cf8525a2f667b7fc",
+        "d36f94569e4effb01fa072c10e27d2ae7c62a34e5ce1ddcafb75798345f59b64"),
+    1: ("2432e9bb952a906b3031adde70930c9c21acc3d03f343884ff1a835c4a2ac269",
+        "d4fa4cb00350801759ebecb264ea0653b383cacb70acdb8cb910413f6178a4a6"),
+}
 
 
 class TestChaos:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_chaos_case_oracle_clean_and_backend_pinned(self, seed):
         case = ChaosCase(seed=seed, n=8, batches=2, events_per_batch=2)
-        ref = run_chaos_case(case, backend="reference")
-        fast = run_chaos_case(case, backend="fast")
-        assert ref.ok and fast.ok
-        assert ref.digest_recoverable == fast.digest_recoverable
-        assert ref.digest_pipelined == fast.digest_pipelined
+        out = run_chaos_case(case, backend="reference")
+        assert out.ok
+        assert (out.digest_recoverable, out.digest_pipelined) == \
+            _CHAOS_DIGESTS[seed]
+
+    def test_campaign_checks_pinned_digests(self, monkeypatch):
+        (row,) = run_chaos_campaign([0])
+        assert row["pinned"] == 1
+        monkeypatch.setitem(chaos.PINNED_DIGESTS, 0, ("0" * 64, "0" * 64))
+        with pytest.raises(AssertionError, match="pinned"):
+            run_chaos_campaign([0])
+        # a resized case has no pin and is only oracle-checked
+        (row,) = run_chaos_campaign([0], case_kwargs={"n": 8})
+        assert row["pinned"] == 0
